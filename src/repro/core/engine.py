@@ -34,6 +34,7 @@ from repro.core.selector import (SMALL_MESSAGE_THRESHOLD,
                                  ProtocolChoice, select_protocol)
 from repro.core.tracing import FaultCounters
 from repro.protocols import ProtocolError
+from repro.sim.core import Interrupt
 from repro.sim.units import KiB
 from repro.thrift.errors import (TRejectedException, TTransportException,
                                  transport_exception_from_wc)
@@ -341,23 +342,26 @@ _BENIGN_TRACE_KINDS = ("failback", "tuner_switch", "tuner_revert",
 
 
 class _PendingCall:
-    """One asynchronous call from post to completion.
+    """One engine call, blocking or asynchronous, from submit to settle.
 
-    Owns the engine-side bookkeeping a blocking call does inline: the
-    in-flight gauge, breaker verdicts, per-channel metrics, and the trace.
+    Owns the engine-side bookkeeping of the call: the in-flight gauge,
+    breaker verdicts, per-channel metrics, tuner samples, and the trace.
     :class:`~repro.core.pipeline.ChannelPipeline` drives ``wire`` /
     ``complete`` / ``fail``; the engine drives the rest.
     """
 
-    __slots__ = ("engine", "fn", "route", "message", "oneway", "seqid",
+    __slots__ = ("engine", "fn", "route", "resp_hint", "message", "oneway",
+                 "seqid",
                  "handle", "act", "attempt", "channel", "t_start",
-                 "_gauge_idx", "epoch")
+                 "_gauge_idx", "epoch", "owner", "submitter", "backoff",
+                 "error")
 
     def __init__(self, engine, fn, route, message, oneway, seqid, handle,
                  act):
         self.engine = engine
         self.fn = fn
         self.route = route
+        self.resp_hint = route.resp_hint
         self.message = message
         self.oneway = oneway
         self.seqid = seqid
@@ -368,10 +372,16 @@ class _PendingCall:
         self.t_start = engine.node.sim.now
         self._gauge_idx = None
         self.epoch = None            # tuner plan epoch riding on the wire
-
-    @property
-    def resp_hint(self):
-        return self.route.resp_hint
+        #: the process that submits this call and waits for its reply (a
+        #: blocking call's caller, or its deadline runner); None = async
+        self.owner = None
+        #: the process running ``_submit_entry`` for this call right now
+        self.submitter = None
+        #: re-send delay the submitting process must sleep before its next
+        #: attempt (set when a failure is retried in-process)
+        self.backoff = None
+        #: the mapped failure of the latest attempt
+        self.error = None
 
     def wire(self, pip_seq):
         """The wire bytes: [trace envelope][pip header][epoch][message]."""
@@ -382,7 +392,6 @@ class _PendingCall:
 
     def mark_inflight(self, idx: int) -> None:
         self.channel = idx
-        self.handle.channel = idx
         m = self.engine._chan_metrics.get(idx)
         if m is not None:
             m[3].inc()
@@ -400,6 +409,9 @@ class _PendingCall:
         eng = self.engine
         resp_epoch = None
         if eng.tuner is not None and resp:
+            # The server echoes the request's epoch tag ahead of the
+            # response (rejections come back untagged; split_epo passes
+            # them through).
             resp_epoch, resp = split_epo(resp)
         if resp:
             # A rejection frame is not a response: the request never
@@ -425,6 +437,9 @@ class _PendingCall:
                 m[2].inc(len(resp or b""))
         if self.act is not None:
             self.act.end_attempt(now, status="ok")
+            if self.owner is not None:
+                self.act.stage("deserialize", now, now,
+                               nbytes=len(resp or b""))
             self.act.finish(now, status="ok",
                             resp_bytes=len(resp or b""))
         if eng.tuner is not None and not self.oneway:
@@ -437,16 +452,18 @@ class _PendingCall:
             eng._drain_unrouted()
         self.handle._resolve(b"" if self.oneway else resp)
 
-    def fail(self, exc: BaseException) -> None:
+    def fail(self, exc: BaseException, reroute: bool = True) -> None:
         eng = self.engine
         self.drop_gauge()
         if self.seqid is not None:
             eng._sent_seqids.unpin((self.fn, self.seqid))
-        # Last resort before surfacing the failure: a router holding
-        # replicas of this key's shard may take the call over (idempotent
-        # reads only -- a re-sent write could double-apply).
-        if (eng.sweep_reroute is not None and not self.handle.done
-                and eng._connected and self.fn in eng.idempotent_fns):
+        # Last resort before surfacing the failure of a detached call: a
+        # router holding replicas of this key's shard may take it over
+        # (idempotent reads only -- a re-sent write could double-apply).
+        # A blocking caller is still on the stack and fails over itself.
+        if (reroute and eng.sweep_reroute is not None and self.owner is None
+                and not self.handle.done and eng._connected
+                and self.fn in eng.idempotent_fns):
             try:
                 taken = eng.sweep_reroute(self, exc)
             except Exception:
@@ -472,11 +489,24 @@ class HatRpcEngine:
     lookup, mirroring the paper's "only pass the pointer and cache the RPC
     function type" minimization.
 
+    Every call -- ``call`` as much as ``call_async`` -- is one
+    ``_PendingCall`` run through one submission loop (``_submit_entry``)
+    onto the channel's :class:`~repro.core.pipeline.ChannelPipeline`;
+    ``call`` is submit + wait.  A blocking caller that finds its channel's
+    window idle runs the classic ``chan.call`` in its own process, so the
+    blocking path spawns nothing and stays byte-identical on the wire.
+
     Failure handling (all deterministic under a seeded ``rng``):
 
-    * **deadline** -- an optional total per-call time budget; expiry raises
-      ``TTransportException(TIMED_OUT)`` and discards the in-flight channel
-      so the next call reconnects cleanly;
+    * **deadline** -- an optional total per-call time budget (``call``'s
+      ``deadline`` or ``CallHandle.wait(timeout)``); expiry raises
+      ``TTransportException(TIMED_OUT)`` and counts one timeout.  A call
+      posted into a shared multi-slot window is abandoned: its neighbors
+      keep flowing and its late response is dropped.  A call that holds
+      its channel alone (the only slot of a window-1 channel, or an idle
+      window its blocking caller took) is interrupted and its channel
+      discarded, so the next call reconnects cleanly -- no breaker charge,
+      no re-send;
     * **retry** -- transport errors are retried under ``retry_policy``
       (capped exponential backoff + jitter), but only while the request has
       provably not reached the wire, or when the function is registered
@@ -544,8 +574,6 @@ class HatRpcEngine:
         #: optional online HintTuner (attach_tuner); None = declared hints
         #: only, and the whole tuner path costs one attribute check.
         self.tuner = None
-        #: blocking calls in flight per channel (drain-and-close gating)
-        self._ch_calls: Dict[int, int] = {}
         self._drain_pending = False
         # -- observability (instruments captured once; None = disabled, so
         # the per-call cost of a disabled run is one attribute check) --
@@ -624,9 +652,8 @@ class HatRpcEngine:
         Calls issued *after* drain_close starts extend the wait -- callers
         should stop routing new work to the engine before invoking it."""
         sim = self.node.sim
-        while self._connected and (
-                any(self._ch_calls.get(i, 0) for i in self._channels)
-                or any(p.pending for p in self._pipelines.values())):
+        while self._connected and any(p.pending
+                                      for p in self._pipelines.values()):
             yield sim.timeout(poll)
         self.close()
 
@@ -677,8 +704,7 @@ class HatRpcEngine:
             if idx in used:
                 continue
             pipe = self._pipelines.get(idx)
-            if self._ch_calls.get(idx, 0) or \
-                    (pipe is not None and pipe.pending):
+            if pipe is not None and pipe.pending:
                 pending = True
                 continue
             self._retire_channel(idx)
@@ -758,17 +784,18 @@ class HatRpcEngine:
             chan.close()
             self.faults.reconnects += 1
 
-    def _trace(self, kind: str, fn: str, channel: int, detail: str = ""
-               ) -> None:
+    def _trace(self, kind: str, fn: str, channel: int, detail: str = "",
+               ctx=None) -> None:
         now = self.node.sim.now
         self.fault_trace.append((now, kind, fn, channel, detail))
         if self._trc is not None:
             # Mirror the fault event into the distributed trace of the call
-            # it happened inside (the context rides on the sim process; the
-            # breaker's on_open fires synchronously in the caller, so it is
-            # reachable here too).  Any fault marks the trace for
-            # always-commit -- except failback, which is good news.
-            ctx = obstrace.active(self.node.sim)
+            # it happened inside (``ctx``, or the context riding on the sim
+            # process; the breaker's on_open fires synchronously in the
+            # caller, so it is reachable here too).  Any fault marks the
+            # trace for always-commit -- except failback, which is good news.
+            if ctx is None:
+                ctx = obstrace.active(self.node.sim)
             if ctx is not None:
                 ctx.event(kind, now, fault=kind not in _BENIGN_TRACE_KINDS,
                           fn=fn, channel=channel, detail=detail)
@@ -787,128 +814,74 @@ class HatRpcEngine:
         this call.  ``ser_start`` is the sim time serialization of
         ``message`` began (TRdma records it at ``write_message_begin``);
         it only feeds the "serialize" trace stage.
+
+        Submit + wait: the call runs the same submission loop as
+        :meth:`call_async`.  Without a deadline the caller's own process
+        submits it (running it inline when the window is idle); with one,
+        a runner process submits it so the wait can time out.
         """
+        entry = self._new_entry(fn_name, message, oneway, seqid, None, True)
+        sim = self.node.sim
+        act = entry.act
+        if act is not None:
+            act.stage("serialize",
+                      sim.now if ser_start is None else ser_start, sim.now,
+                      nbytes=len(message))
+            # The dynamic-hint path is the route lookup -- cached function
+            # type, so it costs no simulated time.
+            act.stage("hint_select", sim.now, sim.now,
+                      channel=entry.route.channel,
+                      rationale=entry.route.choice.rationale,
+                      **self.trace_attrs)
+        budget = deadline if deadline is not None else self.deadline
+        if budget is None:
+            entry.owner = sim.active_process
+            yield from self._submit_entry(entry)
+        else:
+            entry.owner = sim.process(self._run_entry(entry),
+                                      name=f"call-{fn_name}")
+        return (yield from entry.handle.wait(budget))
+
+    def call_async(self, fn_name: str, message: bytes, oneway: bool = False,
+                   seqid: Optional[int] = None,
+                   channel: Optional[int] = None):
+        """Coroutine: post one serialized message without waiting for the
+        response; returns a :class:`~repro.core.pipeline.CallHandle`.
+
+        Up to the channel's ``window`` calls overlap on one connection;
+        posting the window-plus-first call blocks here until a slot frees
+        (the backpressure).  Results -- and failures -- surface at
+        ``yield from handle.wait()``.  Channels whose protocol cannot
+        pipeline (TCP, rendezvous) still work: the window degrades to one
+        call at a time, preserving the API.
+
+        ``channel`` overrides the planned channel for this one call (the
+        hot-key cache steers promoted misses onto the hot-read channel
+        this way); failover candidates are still ranked from the override.
+        """
+        entry = self._new_entry(fn_name, message, oneway, seqid, channel,
+                                False)
+        yield from self._submit_entry(entry)
+        return entry.handle
+
+    def _new_entry(self, fn_name: str, message: bytes, oneway: bool,
+                   seqid: Optional[int], channel: Optional[int],
+                   blocking: bool) -> _PendingCall:
+        """Route lookup, the seqid gate, the handle and the trace of one
+        call."""
         if not self._connected:
             raise RuntimeError("engine not connected")
         route = self.plan.routes.get(fn_name)
         if route is None:
             raise KeyError(f"function {fn_name!r} not in service plan "
                            f"for {self.plan.service!r}")
-        pipe = self._pipelines.get(route.channel)
-        if pipe is not None and not pipe.dead and pipe.pending:
-            # A pipeline is active on this channel: a second blocking
-            # receiver on the same CQ would steal its completions, so the
-            # call rides the async path under the same window.
-            handle = yield from self.call_async(fn_name, message,
-                                                oneway=oneway, seqid=seqid)
-            budget = deadline if deadline is not None else self.deadline
-            return (yield from handle.wait(budget))
-        if self._trc is None:
-            return (yield from self._call_inner(fn_name, route, message,
-                                                oneway, seqid, deadline,
-                                                None))
-        # -- traced path: open the trace, ride it on the sim process ---------
-        sim = self.node.sim
-        ch = self.plan.channels[route.channel]
-        act = self._trc.start_call(
-            fn_name, self.node.name, lambda: sim.now,
-            attrs={
-                "perf_goal": route.server_hints.perf_goal,
-                "payload_size": route.server_hints.payload_size,
-                "concurrency": route.server_hints.concurrency,
-                "protocol": ch.protocol or "tcp",
-                "transport": ch.transport,
-                "rationale": route.choice.rationale,
-                "req_bytes": len(message),
-                "oneway": oneway,
-                **self.trace_attrs,
-            })
-        act.stage("serialize",
-                  sim.now if ser_start is None else ser_start, sim.now,
-                  nbytes=len(message))
-        # The dynamic-hint path is the route lookup above -- cached
-        # function type, so it costs no simulated time.
-        act.stage("hint_select", sim.now, sim.now,
-                  channel=route.channel, rationale=route.choice.rationale,
-                  **self.trace_attrs)
-        p = sim.active_process
-        prev_ctx = p.trace_ctx if p is not None else None
-        if p is not None:
-            p.trace_ctx = act
-        try:
-            resp = yield from self._call_inner(fn_name, route, message,
-                                               oneway, seqid, deadline, act)
-        except BaseException as exc:
-            act.finish(sim.now, status=type(exc).__name__)
-            raise
-        else:
-            act.stage("deserialize", sim.now, sim.now,
-                      nbytes=len(resp or b""))
-            act.finish(sim.now, status="ok", resp_bytes=len(resp or b""))
-            return resp
-        finally:
-            if p is not None:
-                p.trace_ctx = prev_ctx
-
-    def _call_inner(self, fn_name: str, route: FunctionRoute,
-                    message: bytes, oneway: bool, seqid: Optional[int],
-                    deadline: Optional[float], act):
-        budget = deadline if deadline is not None else self.deadline
-        if budget is None:
-            return (yield from self._call_with_recovery(
-                fn_name, route, message, oneway, seqid, act))
-        sim = self.node.sim
-        # The spawned recovery process inherits the caller's trace_ctx, so
-        # spans recorded inside it land in the same trace.
-        attempt = sim.process(
-            self._call_with_recovery(fn_name, route, message, oneway, seqid,
-                                     act),
-            name=f"call-{fn_name}")
-        expiry = sim.timeout(budget)
-        try:
-            yield sim.any_of([attempt, expiry])
-        except Exception:
-            pass  # the attempt failed before the deadline; inspected below
-        if attempt.triggered:
-            return attempt.value       # re-raises the failure if there was one
-        # Deadline expired with the attempt still in flight: cancel it and
-        # discard whatever channel it was using -- its wire state is unknown.
-        attempt.defuse()
-        attempt.interrupt("deadline")
-        if act is not None:
-            # The interrupted process never reaches its own end_attempt;
-            # close the span here so the committed trace has no dangling
-            # attempt and stage attribution doesn't miscount the tail.
-            act.end_attempt(sim.now, status="interrupted")
-        self.faults.timeouts += 1
-        self._trace("timeout", fn_name, route.channel, f"budget={budget}")
-        self._discard_channel(self._last_channel.get(route.channel,
-                                                     route.channel))
-        raise TTransportException(
-            TTransportException.TIMED_OUT,
-            f"{fn_name} exceeded its {budget * 1e6:.0f}us deadline")
-
-    def _call_with_recovery(self, fn_name: str, route: FunctionRoute,
-                            message: bytes, oneway: bool,
-                            seqid: Optional[int], act=None):
-        """Coroutine wrapper: however the recovery loop exits (success,
-        exhaustion, deadline interrupt), the seqid comes off the live pin
-        so the ledger can evict it once it is merely historical."""
-        try:
-            return (yield from self._recovery_loop(fn_name, route, message,
-                                                   oneway, seqid, act))
-        finally:
-            if seqid is not None:
-                self._sent_seqids.unpin((fn_name, seqid))
-
-    def _recovery_loop(self, fn_name: str, route: FunctionRoute,
-                       message: bytes, oneway: bool,
-                       seqid: Optional[int], act=None):
-        policy = self.retry_policy
-        idempotent = fn_name in self.idempotent_fns
-        call_key = (fn_name, seqid)
-        if not idempotent and seqid is not None and \
-                call_key in self._sent_seqids:
+        if channel is not None and channel != route.channel:
+            if not 0 <= channel < len(self.plan.channels):
+                raise KeyError(f"channel override {channel} out of range "
+                               f"for {self.plan.service!r}")
+            route = replace(route, channel=channel)
+        if fn_name not in self.idempotent_fns and seqid is not None \
+                and (fn_name, seqid) in self._sent_seqids:
             # The seqid gate: this exact message already reached the wire
             # once; re-sending it could double-apply a write.
             self.faults.blind_retries_prevented += 1
@@ -918,167 +891,34 @@ class HatRpcEngine:
                 TTransportException.UNKNOWN,
                 f"refusing to re-send non-idempotent {fn_name} seqid={seqid};"
                 " re-issue the call under a fresh seqid")
-        last_exc: Optional[Exception] = None
-        t_start = self.node.sim.now
-        for attempt in range(policy.max_attempts):
-            idx = self._pick_channel(route, len(message))
-            if idx is None:
-                break  # every candidate's breaker is open
-            breaker = self._breaker(idx)
-            sent = False
-            inflight = None
-            if act is not None:
-                ch_plan = self.plan.channels[idx]
-                act.begin_attempt(self.node.sim.now, attempt=attempt,
-                                  channel=idx,
-                                  protocol=ch_plan.protocol or "tcp",
-                                  transport=ch_plan.transport)
-            try:
-                chan = self._channels.get(idx)
-                if chan is None:
-                    t_conn = self.node.sim.now
-                    chan = yield from self._open_channel(
-                        self.plan.channels[idx])
-                    if act is not None:
-                        act.stage("connect", t_conn, self.node.sim.now,
-                                  channel=idx)
-                    if self.tuner is not None and idx not in {
-                            r.channel for r in self.plan.routes.values()}:
-                        # The tuner retargeted away from this channel while
-                        # its handshake was in flight -- the retarget-time
-                        # drain could not see it.  Run the committed call,
-                        # then let the completion-side drain retire it.
-                        self._drain_pending = True
-                sent = True
-                if seqid is not None:
-                    # Pinned while in flight: cap pressure from later calls
-                    # must not evict a live seqid (that would silently
-                    # re-open the duplicate-send window).
-                    self._sent_seqids.add(call_key, pinned=True)
-                self._note_routing(fn_name, route, idx)
-                if self._obs is not None:
-                    m = self._chan_metrics.get(idx)
-                    if m is not None:
-                        inflight = m[3]
-                        inflight.inc()
-                # The wire envelope carries this attempt's span id, so the
-                # server span parents to the attempt that reached it.  It
-                # is empty for unsampled, unfaulted calls.
-                wire_msg = message if act is None \
-                    else act.envelope() + message
-                if self.tuner is not None \
-                        and self.plan.channels[idx].transport == "rdma":
-                    env = b"" if act is None else act.envelope()
-                    wire_msg = env + pack_epo(self.tuner.epoch) + message
-                self._ch_calls[idx] = self._ch_calls.get(idx, 0) + 1
-                try:
-                    resp = yield from chan.call(wire_msg,
-                                                resp_hint=route.resp_hint,
-                                                oneway=oneway, trace=act)
-                finally:
-                    # Every exit path decrements -- including a deadline
-                    # interrupt delivered into chan.call, which used to
-                    # leave the gauge permanently high.
-                    self._ch_calls[idx] -= 1
-                    if inflight is not None:
-                        inflight.dec()
-                        inflight = None
-            except _CHANNEL_ERRORS as exc:
-                last_exc = self._map_error(exc)
-                if self.tuner is not None and isinstance(exc, ProtocolError):
-                    # Oversize payloads are the tuner's urgent case: the
-                    # declared payload hint is provably wrong, not merely
-                    # slow, so it may retarget without the usual dwell.
-                    self.tuner.observe_error(fn_name, len(message), idx)
-                if act is not None:
-                    # Close the attempt before recording events so faults
-                    # read as root-level siblings of the attempt subtrees.
-                    act.end_attempt(self.node.sim.now, status="error",
-                                    error=type(exc).__name__)
-                breaker.record_failure()
-                self.faults.channel_failures += 1
-                self._trace("channel_error", fn_name, idx,
-                            type(exc).__name__)
-                self._discard_channel(idx)
-                if sent and not idempotent:
-                    self.faults.blind_retries_prevented += 1
-                    self._trace("blind_retry_prevented", fn_name, idx,
-                                f"seqid={seqid}")
-                    raise last_exc from exc
-                if attempt + 1 < policy.max_attempts:
-                    if not self._spend_retry(fn_name, idx):
-                        break
-                    self.faults.retries += 1
-                    delay = policy.backoff(attempt, self.rng)
-                    self._trace("retry", fn_name, idx,
-                                f"attempt={attempt + 1} backoff={delay:.2e}")
-                    t_back = self.node.sim.now
-                    yield self.node.sim.timeout(delay)
-                    if act is not None:
-                        act.stage("backoff", t_back, self.node.sim.now,
-                                  attempt=attempt + 1)
-                continue
-            resp_epoch = None
-            if self.tuner is not None and resp:
-                # The server echoes the request's epoch tag ahead of the
-                # response (rejections come back untagged; split_epo
-                # passes them through).
-                resp_epoch, resp = split_epo(resp)
-            if resp:
-                retry_after, resp = split_rej(resp)
-                if retry_after is not None:
-                    # Admission rejection: the request provably never
-                    # dispatched, so the re-send is safe regardless of
-                    # idempotency, and the transport worked -- the breaker
-                    # is credited, not charged.
-                    breaker.record_success()
-                    self.faults.rejections += 1
-                    self._trace("rejected", fn_name, idx,
-                                f"retry_after={retry_after:.2e}")
-                    if act is not None:
-                        act.end_attempt(self.node.sim.now, status="rejected")
-                    last_exc = TRejectedException(retry_after)
-                    if attempt + 1 < policy.max_attempts \
-                            and self._spend_retry(fn_name, idx):
-                        self.faults.rejected_retries += 1
-                        delay = max(retry_after,
-                                    policy.backoff(attempt, self.rng))
-                        self._trace("rejected_retry", fn_name, idx,
-                                    f"attempt={attempt + 1} "
-                                    f"backoff={delay:.2e}")
-                        t_back = self.node.sim.now
-                        yield self.node.sim.timeout(delay)
-                        if act is not None:
-                            act.stage("backoff", t_back, self.node.sim.now,
-                                      attempt=attempt + 1)
-                        continue
-                    raise last_exc
-            if act is not None:
-                act.end_attempt(self.node.sim.now, status="ok")
-            breaker.record_success()
-            self.calls_routed += 1
-            if self._obs is not None:
-                self._m_calls.inc()
-                self._m_latency.record(self.node.sim.now - t_start)
-                m = self._chan_metrics.get(idx)
-                if m is not None:
-                    m[0].inc()
-                    m[1].inc(len(message))
-                    m[2].inc(len(resp or b""))
-            if self.tuner is not None and not oneway:
-                self.tuner.observe(
-                    fn_name, len(message), self.node.sim.now - t_start,
-                    self.node.sim.now, idx,
-                    epoch_ok=(resp_epoch is None
-                              or resp_epoch == self.tuner.epoch))
-            if self._drain_pending:
-                self._drain_unrouted()
-            return resp
-        if last_exc is not None:
-            raise last_exc
-        raise TTransportException(
-            TTransportException.NOT_OPEN,
-            f"no channel available for {fn_name}: all circuit breakers open")
+        sim = self.node.sim
+        act = None
+        if self._trc is not None:
+            ch = self.plan.channels[route.channel]
+            hints = route.server_hints
+            if blocking:
+                attrs: Dict[str, Any] = {
+                    "perf_goal": hints.perf_goal,
+                    "payload_size": hints.payload_size,
+                    "concurrency": hints.concurrency,
+                    "protocol": ch.protocol or "tcp",
+                    "transport": ch.transport,
+                    "rationale": route.choice.rationale,
+                    "req_bytes": len(message), "oneway": oneway}
+            else:
+                attrs = {"perf_goal": hints.perf_goal,
+                         "protocol": ch.protocol or "tcp",
+                         "transport": ch.transport, "window": ch.window,
+                         "req_bytes": len(message), "oneway": oneway,
+                         "async": True}
+            attrs.update(self.trace_attrs)
+            act = self._trc.start_call(fn_name, self.node.name,
+                                       lambda: sim.now, attrs=attrs)
+        handle = CallHandle(sim, fn_name)
+        entry = _PendingCall(self, fn_name, route, message, oneway, seqid,
+                             handle, act)
+        handle._entry = entry
+        return entry
 
     def hot_read_channel(self) -> Optional[int]:
         """Index of the plan's one-sided hot-read channel, if provisioned."""
@@ -1102,67 +942,6 @@ class HatRpcEngine:
         pipe = self._pipelines.get(route.channel)
         return pipe is not None and pipe._credits <= 0
 
-    # -- the asynchronous (pipelined) call path ------------------------------
-    def call_async(self, fn_name: str, message: bytes, oneway: bool = False,
-                   seqid: Optional[int] = None,
-                   channel: Optional[int] = None):
-        """Coroutine: post one serialized message without waiting for the
-        response; returns a :class:`~repro.core.pipeline.CallHandle`.
-
-        Up to the channel's ``window`` calls overlap on one connection;
-        posting the window-plus-first call blocks here until a slot frees
-        (the backpressure).  Results -- and failures -- surface at
-        ``yield from handle.wait()``.  Channels whose protocol cannot
-        pipeline (TCP, rendezvous) still work: the window degrades to one
-        call at a time, preserving the API.
-
-        ``channel`` overrides the planned channel for this one call (the
-        hot-key cache steers promoted misses onto the hot-read channel
-        this way); failover candidates are still ranked from the override.
-        """
-        if not self._connected:
-            raise RuntimeError("engine not connected")
-        route = self.plan.routes.get(fn_name)
-        if route is None:
-            raise KeyError(f"function {fn_name!r} not in service plan "
-                           f"for {self.plan.service!r}")
-        if channel is not None and channel != route.channel:
-            if not 0 <= channel < len(self.plan.channels):
-                raise KeyError(f"channel override {channel} out of range "
-                               f"for {self.plan.service!r}")
-            route = replace(route, channel=channel)
-        if fn_name not in self.idempotent_fns and seqid is not None \
-                and (fn_name, seqid) in self._sent_seqids:
-            self.faults.blind_retries_prevented += 1
-            self._trace("blind_retry_prevented", fn_name, route.channel,
-                        f"seqid={seqid}")
-            raise TTransportException(
-                TTransportException.UNKNOWN,
-                f"refusing to re-send non-idempotent {fn_name} seqid={seqid};"
-                " re-issue the call under a fresh seqid")
-        sim = self.node.sim
-        handle = CallHandle(sim, fn_name)
-        handle._engine = self
-        act = None
-        if self._trc is not None:
-            ch = self.plan.channels[route.channel]
-            act = self._trc.start_call(
-                fn_name, self.node.name, lambda: sim.now,
-                attrs={
-                    "perf_goal": route.server_hints.perf_goal,
-                    "protocol": ch.protocol or "tcp",
-                    "transport": ch.transport,
-                    "window": ch.window,
-                    "req_bytes": len(message),
-                    "oneway": oneway,
-                    "async": True,
-                    **self.trace_attrs,
-                })
-        entry = _PendingCall(self, fn_name, route, message, oneway, seqid,
-                             handle, act)
-        yield from self._submit_entry(entry)
-        return handle
-
     def call_many(self, calls: Sequence[tuple],
                   return_exceptions: bool = False):
         """Coroutine: issue a batch of calls under the in-flight window and
@@ -1176,21 +955,33 @@ class HatRpcEngine:
         place, otherwise the first failure is raised after the batch
         settles.
         """
+        def post():
+            handles = []
+            for item in calls:
+                handles.append((yield from self.call_async(*item[:4])))
+            return handles
+
+        results, first_exc = yield from self._gather(
+            post(), {"n": len(calls), "service": self.plan.service})
+        if first_exc is not None and not return_exceptions:
+            raise first_exc
+        return results
+
+    def _gather(self, post, attrs: Mapping[str, Any],
+               timeout: Optional[float] = None):
+        """Coroutine: the one batch path.  Runs ``post`` (a coroutine
+        returning handles, every request posted before any wait), then
+        waits on each handle in order.  Returns ``(results, first_exc)``
+        with per-call failures in place; the batch is traced as one
+        ``call_many`` span with ``attrs`` and post / gather stages."""
         sim = self.node.sim
         batch = None
         if self._trc is not None:
-            batch = self._trc.start_call(
-                "call_many", self.node.name, lambda: sim.now,
-                attrs={"n": len(calls), "service": self.plan.service})
+            batch = self._trc.start_call("call_many", self.node.name,
+                                         lambda: sim.now, attrs=dict(attrs))
         try:
             t0 = sim.now
-            handles = []
-            for item in calls:
-                fn, message = item[0], item[1]
-                oneway = item[2] if len(item) > 2 else False
-                seqid = item[3] if len(item) > 3 else None
-                handles.append((yield from self.call_async(
-                    fn, message, oneway=oneway, seqid=seqid)))
+            handles = yield from post
             if batch is not None:
                 batch.stage("post", t0, sim.now, n=len(handles))
             t1 = sim.now
@@ -1198,7 +989,7 @@ class HatRpcEngine:
             first_exc: Optional[Exception] = None
             for h in handles:
                 try:
-                    results.append((yield from h.wait()))
+                    results.append((yield from h.wait(timeout)))
                 except Exception as exc:
                     if first_exc is None:
                         first_exc = exc
@@ -1212,118 +1003,180 @@ class HatRpcEngine:
         if batch is not None:
             batch.finish(sim.now, status="ok" if first_exc is None
                          else type(first_exc).__name__)
-        if first_exc is not None and not return_exceptions:
-            raise first_exc
-        return results
+        return results, first_exc
 
+    # -- the one submission loop ---------------------------------------------
     def _submit_entry(self, entry: _PendingCall):
-        """Coroutine: put one pending call on a channel, retrying channel
-        establishment / admission failures under the retry policy.  On
-        exhaustion the entry is *failed*, never raised -- async failures
-        surface at the handle."""
-        policy = self.retry_policy
-        sim = self.node.sim
-        while entry.attempt < policy.max_attempts:
-            idx = self._pick_channel(entry.route, len(entry.message))
-            if idx is None:
-                break  # every candidate's breaker is open
-            breaker = self._breaker(idx)
-            try:
-                pipe = yield from self._pipeline_for(idx)
-                if self.tuner is not None and idx not in {
-                        r.channel for r in self.plan.routes.values()}:
-                    # Retargeted mid-open: commit this call, drain after.
-                    self._drain_pending = True
-            except _CHANNEL_ERRORS as exc:
-                breaker.record_failure()
-                self.faults.channel_failures += 1
-                self._trace("channel_error", entry.fn, idx,
-                            type(exc).__name__)
-                self._discard_channel(idx)
-                entry.attempt += 1
-                if entry.attempt < policy.max_attempts \
-                        and self._spend_retry(entry.fn, idx):
-                    yield from self._async_backoff(entry, idx)
-                    continue
-                entry.fail(self._map_error(exc))
-                return
-            if entry.act is not None:
-                ch_plan = self.plan.channels[idx]
-                entry.act.begin_attempt(sim.now, attempt=entry.attempt,
-                                        channel=idx,
-                                        protocol=ch_plan.protocol or "tcp",
-                                        transport=ch_plan.transport)
-            if entry.seqid is not None:
-                self._sent_seqids.add((entry.fn, entry.seqid), pinned=True)
-            self._note_routing(entry.fn, entry.route, idx)
-            entry.epoch = (self.tuner.epoch if self.tuner is not None
-                           and self.plan.channels[idx].transport == "rdma"
-                           else None)
-            p = sim.active_process
-            prev_ctx = p.trace_ctx if p is not None else None
-            if p is not None:
-                p.trace_ctx = entry.act
-            try:
-                yield from pipe.submit(entry)
-            except PipelineDead as exc:
-                if entry.act is not None:
-                    entry.act.end_attempt(sim.now, status="error",
-                                          error="PipelineDead")
-                cause = exc.__cause__
-                entry.attempt += 1
-                if cause is None:
-                    # Died while this entry waited for a window slot: it
-                    # never reached the wire (the sweep already charged the
-                    # breaker), so re-picking is always safe.
-                    if entry.attempt < policy.max_attempts \
-                            and self._connected:
-                        continue
-                    entry.fail(self._map_error(exc))
-                    return
-                # The post itself failed: wire state is unknown.
-                breaker.record_failure()
-                self.faults.channel_failures += 1
-                if self.tuner is not None \
-                        and isinstance(cause, ProtocolError):
-                    self.tuner.observe_error(entry.fn, len(entry.message),
-                                             idx)
-                self._trace("channel_error", entry.fn, idx,
-                            type(cause).__name__)
-                self._discard_channel(idx)
-                if entry.fn not in self.idempotent_fns:
-                    self.faults.blind_retries_prevented += 1
-                    self._trace("blind_retry_prevented", entry.fn, idx,
-                                f"seqid={entry.seqid}")
-                    entry.fail(self._map_error(cause))
-                    return
-                if entry.attempt < policy.max_attempts \
-                        and self._spend_retry(entry.fn, idx):
-                    yield from self._async_backoff(entry, idx)
-                    continue
-                entry.fail(self._map_error(cause))
-                return
-            finally:
-                if p is not None:
-                    p.trace_ctx = prev_ctx
-            entry.mark_inflight(idx)
-            return
-        entry.fail(TTransportException(
-            TTransportException.NOT_OPEN,
-            f"no channel available for {entry.fn}: "
-            "all circuit breakers open"))
+        """Coroutine: put one pending call on a channel.
 
-    def _async_backoff(self, entry: _PendingCall, idx: int):
-        self.faults.retries += 1
-        delay = self.retry_policy.backoff(entry.attempt - 1, self.rng)
-        self._trace("retry", entry.fn, idx,
-                    f"attempt={entry.attempt} backoff={delay:.2e}")
+        Picks a channel (failover order, breakers), opens it on first use,
+        and submits the call to the channel's pipeline -- inline when the
+        entry's owner is submitting and the window is idle.  Failures the
+        submitting process can retry itself (a failed open, a call or post
+        on a dead channel, an inline rejection) back off right here;
+        exhaustion *fails* the entry, never raises -- failures surface at
+        the handle."""
+        sim = self.node.sim
+        p = entry.submitter = sim.active_process
+        # Fault events recorded while submitting belong to this call.
+        prev_ctx = p.trace_ctx if p is not None else None
+        if p is not None:
+            p.trace_ctx = entry.act
+        try:
+            while True:
+                idx = self._pick_channel(entry.route, len(entry.message))
+                if idx is None:   # every candidate's breaker is open
+                    entry.fail(entry.error or TTransportException(
+                        TTransportException.NOT_OPEN,
+                        f"no channel available for {entry.fn}: "
+                        "all circuit breakers open"))
+                    return
+                if entry.act is not None:
+                    ch_plan = self.plan.channels[idx]
+                    entry.act.begin_attempt(
+                        sim.now, attempt=entry.attempt, channel=idx,
+                        protocol=ch_plan.protocol or "tcp",
+                        transport=ch_plan.transport)
+                try:
+                    pipe = yield from self._pipeline_for(idx, entry.act)
+                except _CHANNEL_ERRORS as exc:
+                    # Never reached the wire: safe to retry whatever the
+                    # function's idempotency.
+                    self._charge_failure([entry], idx, exc)
+                    self._discard_channel(idx)
+                    self._retry_or_fail(entry, idx, entry.error)
+                else:
+                    inline = self._prepare_attempt(entry, idx, pipe)
+                    try:
+                        if (yield from pipe.submit(entry, inline)):
+                            entry.mark_inflight(idx)
+                            return
+                    except PipelineDead as exc:
+                        # Died while this entry waited for a window slot:
+                        # it never reached the wire (the sweep already
+                        # charged the breaker), so re-picking is safe.
+                        entry.drop_gauge()
+                        if entry.act is not None:
+                            entry.act.end_attempt(sim.now, status="error",
+                                                  error="PipelineDead")
+                        entry.attempt += 1
+                        if entry.attempt < self.retry_policy.max_attempts \
+                                and self._connected:
+                            continue
+                        entry.fail(self._map_error(exc))
+                        return
+                if entry.backoff is None:
+                    return        # settled: completed, failed or handed off
+                delay, entry.backoff = entry.backoff, None
+                yield from self._backoff(entry, delay)
+        finally:
+            entry.submitter = None
+            if p is not None:
+                p.trace_ctx = prev_ctx
+
+    def _prepare_attempt(self, entry: _PendingCall, idx: int,
+                         pipe: ChannelPipeline) -> bool:
+        """Ready ``entry`` for an attempt on channel ``idx``; True when it
+        runs inline: its owner submits it and would not share the
+        window."""
+        if self.tuner is not None and idx not in {
+                r.channel for r in self.plan.routes.values()}:
+            # The tuner retargeted away from this channel while its
+            # handshake was in flight -- the retarget-time drain could not
+            # see it.  Run the committed call, then let the
+            # completion-side drain retire it.
+            self._drain_pending = True
+        if entry.seqid is not None:
+            # Pinned while in flight: cap pressure from later calls must
+            # not evict a live seqid (that would silently re-open the
+            # duplicate-send window).
+            self._sent_seqids.add((entry.fn, entry.seqid), pinned=True)
+        self._note_routing(entry.fn, entry.route, idx)
+        entry.epoch = (self.tuner.epoch if self.tuner is not None
+                       and self.plan.channels[idx].transport == "rdma"
+                       else None)
+        inline = (entry.owner is not None and entry.owner is entry.submitter
+                  and not (pipe.pipelined and pipe.pending))
+        if inline:
+            entry.mark_inflight(idx)
+        return inline
+
+    def _run_entry(self, entry: _PendingCall, delay: Optional[float] = None):
+        """Detached process: submit one call -- a deadline-bound blocking
+        call's runner, or, after backing off ``delay``, the re-send of a
+        swept or rejected call."""
+        try:
+            if delay is not None:
+                yield from self._backoff(entry, delay)
+            yield from self._submit_entry(entry)
+        except Interrupt:
+            pass               # deadline: _on_deadline settled the entry
+        except Exception as exc:
+            entry.fail(exc)
+
+    def _backoff(self, entry: _PendingCall, delay: float):
         t_back = self.node.sim.now
         yield self.node.sim.timeout(delay)
         if entry.act is not None:
             entry.act.stage("backoff", t_back, self.node.sim.now,
                             attempt=entry.attempt)
 
-    def _pipeline_for(self, idx: int):
+    def _retry_or_fail(self, entry: _PendingCall, idx: int,
+                       exc: BaseException,
+                       retry_after: Optional[float] = None) -> None:
+        """Re-send ``entry`` after its failed attempt on ``idx`` -- after a
+        backoff, at least ``retry_after`` for a rejection -- or fail it
+        with ``exc`` when attempts or the retry budget are spent or the
+        engine closed.  The re-send runs in-process when the running
+        process is the one submitting the entry, else from a detached
+        process."""
+        if entry.attempt >= self.retry_policy.max_attempts \
+                or not self._connected \
+                or not self._spend_retry(entry.fn, idx):
+            entry.fail(exc, reroute=retry_after is None)
+            return
+        delay = self.retry_policy.backoff(entry.attempt - 1, self.rng)
+        if retry_after is None:
+            self.faults.retries += 1
+            kind = "retry"
+        else:
+            self.faults.rejected_retries += 1
+            kind = "rejected_retry"
+            delay = max(retry_after, delay)
+        self._trace(kind, entry.fn, idx,
+                    f"attempt={entry.attempt} backoff={delay:.2e}")
+        if entry.submitter is not None \
+                and entry.submitter is self.node.sim.active_process:
+            entry.backoff = delay
+        else:
+            self.node.sim.process(self._run_entry(entry, delay),
+                                  name=f"resubmit-{entry.fn}")
+
+    def _charge_failure(self, entries, idx: int, exc: BaseException) -> None:
+        """Account one channel failure on ``idx`` that took ``entries``
+        with it: close their attempts, feed oversize errors to the tuner,
+        charge the breaker once."""
+        now = self.node.sim.now
+        for entry in entries:
+            entry.drop_gauge()
+            if self.tuner is not None and isinstance(exc, ProtocolError):
+                # Oversize payloads are the tuner's urgent case: the
+                # declared payload hint is provably wrong, not merely
+                # slow, so it may retarget without the usual dwell.
+                self.tuner.observe_error(entry.fn, len(entry.message), idx)
+            if entry.act is not None:
+                # Close the attempt before recording events so faults read
+                # as root-level siblings of the attempt subtrees.
+                entry.act.end_attempt(now, status="error",
+                                      error=type(exc).__name__)
+            entry.attempt += 1
+            entry.error = self._map_error(exc)
+        self._breaker(idx).record_failure()
+        self.faults.channel_failures += 1
+        self._trace("channel_error", entries[0].fn if entries else "", idx,
+                    type(exc).__name__)
+
+    def _pipeline_for(self, idx: int, act=None):
         """Coroutine: the live pipeline for channel ``idx``, opening the
         channel (and creating the pipeline) on first use."""
         pipe = self._pipelines.get(idx)
@@ -1331,7 +1184,10 @@ class HatRpcEngine:
             return pipe
         chan = self._channels.get(idx)
         if chan is None:
+            t_conn = self.node.sim.now
             chan = yield from self._open_channel(self.plan.channels[idx])
+            if act is not None:
+                act.stage("connect", t_conn, self.node.sim.now, channel=idx)
         m = self._chan_metrics.get(idx)
         pipe = ChannelPipeline(self.node.sim, chan,
                                window=self.plan.channels[idx].window,
@@ -1342,77 +1198,42 @@ class HatRpcEngine:
         return pipe
 
     def _pipeline_dead(self, pipe: ChannelPipeline, entries, exc) -> None:
-        """A channel died with calls in flight: charge the breaker, discard
-        the connection, then retry idempotent calls elsewhere and fail the
-        rest -- one in-flight call's fate never blocks its neighbors'."""
+        """A channel died with calls on the wire: charge the breaker,
+        discard the connection, then retry idempotent calls elsewhere and
+        fail the rest -- one in-flight call's fate never blocks its
+        neighbors'."""
         idx = pipe.index
-        self._breaker(idx).record_failure()
-        self.faults.channel_failures += 1
-        self._trace("channel_error", entries[0].fn if entries else "", idx,
-                    type(exc).__name__)
-        self._pipelines.pop(idx, None)
+        self._charge_failure(entries, idx, exc)
         self._discard_channel(idx)
-        mapped = self._map_error(exc)
-        policy = self.retry_policy
-        now = self.node.sim.now
         for entry in entries:
-            entry.drop_gauge()
-            if entry.act is not None:
-                entry.act.end_attempt(now, status="error",
-                                      error=type(exc).__name__)
-            entry.attempt += 1
-            if entry.fn not in self.idempotent_fns:
-                self.faults.blind_retries_prevented += 1
-                self._trace("blind_retry_prevented", entry.fn, idx,
-                            f"seqid={entry.seqid}")
-                entry.fail(mapped)
-            elif entry.attempt < policy.max_attempts and self._connected \
-                    and self._spend_retry(entry.fn, idx):
-                self.faults.retries += 1
-                delay = policy.backoff(entry.attempt - 1, self.rng)
-                self._trace("retry", entry.fn, idx,
-                            f"attempt={entry.attempt} backoff={delay:.2e}")
-                self.node.sim.process(self._resubmit(entry, delay),
-                                      name=f"resubmit-{entry.fn}")
-            else:
-                entry.fail(mapped)
+            if entry.fn in self.idempotent_fns:
+                self._retry_or_fail(entry, idx, entry.error)
+                continue
+            self.faults.blind_retries_prevented += 1
+            self._trace("blind_retry_prevented", entry.fn, idx,
+                        f"seqid={entry.seqid}")
+            entry.fail(entry.error)
 
     def _on_rejected(self, entry: _PendingCall, retry_after: float) -> None:
-        """A pipelined call came back REJECTED.
+        """A call came back REJECTED.
 
         Rejection is load, not failure: the channel stays up, the breaker
         is credited, and -- because admission runs before dispatch -- the
         re-send is safe whatever the function's idempotency.  The entry is
         re-submitted after honoring the server's ``retry_after`` (under the
-        retry budget), or failed with the typed exception.  Deliberately
-        NOT routed through ``entry.fail``: rerouting a rejection onto a
-        replica would shift the storm sideways instead of shedding it."""
-        now = self.node.sim.now
+        retry budget), or failed with the typed exception -- never
+        rerouted: shifting a rejection onto a replica would move the storm
+        sideways instead of shedding it."""
         entry.drop_gauge()
         self._breaker(entry.channel).record_success()
         self.faults.rejections += 1
         self._trace("rejected", entry.fn, entry.channel,
                     f"retry_after={retry_after:.2e}")
         if entry.act is not None:
-            entry.act.end_attempt(now, status="rejected")
+            entry.act.end_attempt(self.node.sim.now, status="rejected")
         entry.attempt += 1
-        if entry.attempt < self.retry_policy.max_attempts \
-                and self._connected \
-                and self._spend_retry(entry.fn, entry.channel):
-            self.faults.rejected_retries += 1
-            delay = max(retry_after,
-                        self.retry_policy.backoff(entry.attempt - 1,
-                                                  self.rng))
-            self._trace("rejected_retry", entry.fn, entry.channel,
-                        f"attempt={entry.attempt} backoff={delay:.2e}")
-            self.node.sim.process(self._resubmit(entry, delay),
-                                  name=f"resubmit-{entry.fn}")
-            return
-        if entry.seqid is not None:
-            self._sent_seqids.unpin((entry.fn, entry.seqid))
-        if entry.act is not None:
-            entry.act.finish(now, status="TRejectedException")
-        entry.handle._fail(TRejectedException(retry_after))
+        self._retry_or_fail(entry, entry.channel,
+                            TRejectedException(retry_after), retry_after)
 
     def _spend_retry(self, fn: str, idx: int) -> bool:
         """One retry decision against the shared budget (None = unlimited).
@@ -1426,26 +1247,42 @@ class HatRpcEngine:
         self._trace("retry_budget_exhausted", fn, idx)
         return False
 
-    def _resubmit(self, entry: _PendingCall, delay: float):
-        """Detached process: back off, then re-run submission for one
-        swept in-flight call."""
-        t_back = self.node.sim.now
-        yield self.node.sim.timeout(delay)
-        if entry.act is not None:
-            entry.act.stage("backoff", t_back, self.node.sim.now,
-                            attempt=entry.attempt)
-        try:
-            yield from self._submit_entry(entry)
-        except Exception as exc:
-            entry.fail(exc)
+    def _on_deadline(self, entry: _PendingCall,
+                     budget: float) -> TTransportException:
+        """The one deadline rule; returns the TIMED_OUT error to raise.
 
-    def _note_abandoned(self, handle: CallHandle) -> None:
-        """A waiter timed out on a still-in-flight pipelined call: account
-        it as a timeout, but leave the wire alone -- the late response is
-        dropped on arrival and window neighbors keep flowing."""
+        A call that holds its channel alone (inline, or a window-1
+        channel's solo slot) -- or whose blocking caller's runner has not
+        put it on the wire yet -- is interrupted and settled here; a held
+        channel is discarded (its wire state is unknown), so the next call
+        reconnects cleanly.  Any other call (posted into a shared window,
+        or waiting out a detached retry) is abandoned: the wire is left
+        alone, window neighbors keep flowing and the late response is
+        dropped on arrival.  Neither charges the breaker, and an
+        interrupted call is never re-sent."""
         self.faults.timeouts += 1
-        self._trace("timeout", handle.fn, handle.channel,
-                    "abandoned in-flight (pipelined)")
+        exc = TTransportException(
+            TTransportException.TIMED_OUT,
+            f"{entry.fn} exceeded its {budget * 1e6:.0f}us deadline")
+        pipe = self._pipelines.get(entry.channel)
+        held = pipe is not None and pipe.holder[0] is entry
+        runner = pipe.holder[1] if held else entry.owner
+        if runner is None or not runner.is_alive:
+            self._trace("timeout", entry.fn, entry.channel,
+                        "abandoned in flight", entry.act)
+            return exc
+        runner.interrupt("deadline")
+        if entry.act is not None:
+            # The interrupted runner never reaches its own end_attempt;
+            # close the span here so the committed trace has no dangling
+            # attempt and stage attribution doesn't miscount the tail.
+            entry.act.end_attempt(self.node.sim.now, status="interrupted")
+        self._trace("timeout", entry.fn, entry.route.channel,
+                    f"budget={budget}", entry.act)
+        if held:
+            self._discard_channel(entry.channel)
+        entry.fail(exc, reroute=False)
+        return exc
 
     def _pick_channel(self, route: FunctionRoute, msg_len: int
                       ) -> Optional[int]:

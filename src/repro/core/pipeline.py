@@ -1,23 +1,22 @@
 """Pipelined RPC machinery: bounded in-flight windows over one channel.
 
-The synchronous engine path (`HatRpcEngine.call`) is strictly
-one-RPC-at-a-time per channel -- exactly the contract of a blocking Thrift
-client.  The paper's throughput results, however, depend on many requests
-being in flight per connection, which the RDMA protocols were built for
-(Direct-WriteIMM slots, eager rings).  This module supplies the pieces the
-engine's asynchronous path (`call_async` / `call_many`) composes:
+Every engine call -- blocking ``HatRpcEngine.call`` as much as
+``call_async`` / ``call_many`` -- runs through the one
+:class:`ChannelPipeline` of its channel.  The pieces:
 
 * :func:`pack_pip` / :func:`split_pip` -- the 8-byte engine-level
   correlation header (magic ``0xC4 'PIP'`` + u32 sequence number) that
-  rides between the trace envelope and the Thrift message.  The server
-  echoes it onto the response, so a client receiver can match completions
-  to in-flight calls even when they return out of submission order (e.g.
-  after a retry).  Requests without the header pass through untouched --
-  the blocking path stays byte-identical on the wire.
-* :class:`CallHandle` -- the completion handle `call_async` returns:
+  rides between the trace envelope and the Thrift message of a pipelined
+  request.  The server echoes it onto the response, so a client receiver
+  can match completions to in-flight calls even when they return out of
+  submission order (e.g. after a retry).  Calls that hold the channel
+  alone carry no header, so the classic blocking call stays byte-identical
+  on the wire.
+* :class:`CallHandle` -- the completion handle of one call:
   ``yield from handle.wait()`` blocks until the correlated response (or
-  failure) arrives; an optional per-wait deadline abandons the call
-  without disturbing its window neighbors.
+  failure) arrives.  On a per-wait deadline the engine applies its one
+  deadline rule (abandon a call posted into a shared window; interrupt a
+  call that holds its channel alone and discard that channel).
 * :class:`ChannelPipeline` -- per-channel in-flight bookkeeping: a bounded
   credit window sized from the channel plan (admission blocks when full --
   the backpressure), a receiver process that correlates responses by
@@ -46,7 +45,7 @@ import struct
 from collections import deque
 from typing import Any, Deque, Dict, List, Optional, Tuple
 
-from repro.thrift.errors import TTransportException
+from repro.sim.core import Interrupt
 
 __all__ = [
     "EPO_BYTES",
@@ -166,30 +165,29 @@ class BoundedSeqidSet:
 
 
 class CallHandle:
-    """Completion handle for one asynchronous call.
+    """Completion handle for one engine call.
 
-    The engine resolves it from the pipeline's receiver process; the
+    The engine resolves it from whichever process completes the call; the
     caller blocks on :meth:`wait` (or polls :attr:`done` / calls
     :meth:`result` after completion).  Failures are *stored*, never raised
     into the simulator's event loop -- they surface when (and only when)
-    the caller waits.
+    the caller waits.  The wake-up event exists only once a waiter
+    blocks, so a call completed inline costs no event.
     """
 
     def __init__(self, sim, fn: str):
         self.sim = sim
         self.fn = fn
         self.done = False
-        #: a deadline expired in wait(); the call stays in flight and its
-        #: eventual completion is dropped silently
+        #: a deadline expired in wait() before the call completed
         self.abandoned = False
-        self.channel = -1
         #: sim time the call completed (set at resolution -- benchmarks
         #: read it for per-call latency even when waits batch up later)
         self.t_done: Optional[float] = None
         self._value = None
         self._error: Optional[BaseException] = None
-        self._event = sim.event()
-        self._engine = None        # set by the engine for fault accounting
+        self._event = None
+        self._entry = None         # the engine's pending call, for deadlines
 
     def _resolve(self, value) -> None:
         if self.done:
@@ -197,7 +195,9 @@ class CallHandle:
         self.done = True
         self.t_done = self.sim.now
         self._value = value
-        self._event.succeed(value)
+        self._entry = None         # no entry <-> handle cycle once settled
+        if self._event is not None:
+            self._event.succeed(value)
 
     def _fail(self, exc: BaseException) -> None:
         if self.done:
@@ -205,10 +205,12 @@ class CallHandle:
         self.done = True
         self.t_done = self.sim.now
         self._error = exc
+        self._entry = None
         # succeed(), not fail(): the exception belongs to whoever waits on
         # the handle, and an unobserved failed event would crash the
         # simulator's event loop.
-        self._event.succeed(None)
+        if self._event is not None:
+            self._event.succeed(None)
 
     def result(self):
         """The response bytes (raises the stored failure) -- only valid
@@ -223,24 +225,22 @@ class CallHandle:
         """Coroutine: block until the call completes; returns the response
         bytes or raises the call's failure.
 
-        With ``timeout``, a still-in-flight call is *abandoned* after the
-        budget: TIMED_OUT is raised, but the wire state is untouched --
-        window neighbors keep flowing and the late response is discarded
-        when it eventually arrives.
+        With ``timeout``, a call still in flight after the budget raises
+        TIMED_OUT; the engine's deadline rule decides what happens to the
+        call itself (see ``HatRpcEngine._on_deadline``).
         """
-        if not self.done and timeout is not None:
-            expiry = self.sim.timeout(timeout)
-            yield self.sim.any_of([self._event, expiry])
-            if not self.done:
-                self.abandoned = True
-                if self._engine is not None:
-                    self._engine._note_abandoned(self)
-                raise TTransportException(
-                    TTransportException.TIMED_OUT,
-                    f"{self.fn} exceeded its {timeout * 1e6:.0f}us deadline "
-                    "(abandoned in flight)")
-        elif not self.done:
-            yield self._event
+        if not self.done:
+            if self._event is None:
+                self._event = self.sim.event()
+            if timeout is None:
+                yield self._event
+            else:
+                yield self.sim.any_of([self._event,
+                                       self.sim.timeout(timeout)])
+                if not self.done:
+                    self.abandoned = True
+                    raise self._entry.engine._on_deadline(self._entry,
+                                                          timeout)
         return self.result()
 
 
@@ -251,23 +251,29 @@ class PipelineDead(RuntimeError):
 class ChannelPipeline:
     """Bounded in-flight window over one engine channel.
 
-    Two modes, chosen from the channel's capability:
+    Three ways to run a call, chosen per submission:
 
+    * **inline** (``submit(entry, inline=True)``: a blocking caller on an
+      idle window, or a channel that cannot pipeline) -- the submitting
+      process takes the whole window and runs the classic ``chan.call``
+      itself: no process spawn, no correlation header.
     * **pipelined** (``chan.supports_pipelining``) -- requests are framed
       with a correlation header and posted via the protocol's split
       ``post()``; a single receiver process pairs ``recv()`` completions
       back to entries by sequence number.  Up to ``window`` calls overlap
       on the one connection.
     * **solo** (everything else: TCP, rendezvous protocols, RFP) -- the
-      window degrades to 1 and each call runs the classic blocking
-      ``chan.call`` in its own process, preserving the async API without
-      violating the protocol's single-outstanding contract.
+      window degrades to 1 and each call runs ``chan.call`` in its own
+      process, preserving the async API without violating the protocol's
+      single-outstanding contract.
 
     Entries are duck-typed: ``wire(seq)``, ``complete(resp)``,
-    ``fail(exc)``, plus ``resp_hint`` / ``oneway`` / ``act`` for solo mode
-    (the engine's ``_PendingCall``).  When the channel dies, every
-    in-flight entry is handed to ``on_dead(pipe, entries, exc)`` in
-    submission order so the engine can retry or fail them.
+    ``fail(exc)``, plus ``resp_hint`` / ``oneway`` / ``act`` for the
+    inline and solo modes (the engine's ``_PendingCall``).  When the
+    channel dies, every entry that was on the wire -- in flight, or the
+    one whose post / call just failed -- is handed to
+    ``on_dead(pipe, entries, exc)`` in submission order so the engine can
+    retry or fail them.
     """
 
     def __init__(self, sim, chan, window: int, index: int = 0,
@@ -285,7 +291,10 @@ class ChannelPipeline:
         self._waiters: Deque[Any] = deque()
         self._next_seq = 0
         self.inflight: Dict[int, Any] = {}   # seq -> entry (pipelined mode)
-        self._solo = 0                       # outstanding solo-mode calls
+        self._solo = 0                       # outstanding inline/solo calls
+        #: (entry, process) of the call running ``chan.call`` alone on this
+        #: channel (inline or solo); (None, None) when there is none
+        self.holder: Tuple[Any, Any] = (None, None)
         self._receiver = None
         self.dead = False
         self.posted = 0
@@ -297,78 +306,113 @@ class ChannelPipeline:
         return len(self.inflight) + self._solo
 
     # -- window credits ------------------------------------------------------
-    def _acquire(self):
-        while self._credits <= 0 and not self.dead:
+    def _acquire(self, n: int = 1):
+        while self._credits < n and not self.dead:
             ev = self.sim.event()
             self._waiters.append(ev)
-            yield ev
+            try:
+                yield ev
+            except BaseException:
+                # Interrupted while queued: never strand a wake-up.
+                if ev in self._waiters:
+                    self._waiters.remove(ev)
+                elif self._waiters and self._credits > 0:
+                    self._waiters.popleft().succeed()
+                raise
         if self.dead:
             raise PipelineDead(
                 f"channel {self.index} died while waiting for a window slot")
-        self._credits -= 1
+        self._credits -= n
 
-    def _release(self) -> None:
-        self._credits += 1
+    def _release(self, n: int = 1) -> None:
+        self._credits += n
         if self._occupancy is not None:
             self._occupancy.set(self.pending)
-        if self._waiters:
+        for _ in range(min(n, len(self._waiters))):
             self._waiters.popleft().succeed()
 
-    # -- submission ----------------------------------------------------------
-    def submit(self, entry):
-        """Coroutine: admit one call under the window (backpressure blocks
-        here), then put it on the wire.  Raises :class:`PipelineDead` if
-        the channel fails before this call is posted -- the caller re-picks
-        a channel; entries that *were* posted go through ``on_dead``."""
-        if self.dead:
-            raise PipelineDead(f"channel {self.index} is dead")
-        yield from self._acquire()
-        if not self.pipelined:
-            self._solo += 1
-            self.high_water = max(self.high_water, self.pending)
-            if self._occupancy is not None:
-                self._occupancy.set(self.pending)
-            self.sim.process(self._solo_call(entry),
-                             name=f"solo-call-ch{self.index}")
-            return
-        self._next_seq += 1
-        seq = self._next_seq
-        self.inflight[seq] = entry
+    def _occupy(self) -> None:
         self.high_water = max(self.high_water, self.pending)
         if self._occupancy is not None:
             self._occupancy.set(self.pending)
+
+    # -- submission ----------------------------------------------------------
+    def submit(self, entry, inline: bool = False):
+        """Coroutine: admit one call under the window (backpressure blocks
+        here), then put it on the wire.  Returns True while the call is in
+        flight (posted, or handed to a solo process), False once it was
+        settled here (completed inline, or swept through ``on_dead``
+        because its call / post hit a dead channel).  Raises
+        :class:`PipelineDead` if the channel died before this call reached
+        the wire -- the caller re-picks a channel."""
+        if self.dead:
+            raise PipelineDead(f"channel {self.index} is dead")
+        if inline:
+            yield from self._acquire(self.window)
+            self._solo += 1
+            self._occupy()
+            try:
+                resp = yield from self._call_alone(entry, self.window)
+            except self._errors as exc:
+                self._die(exc, extra=(entry,))
+                return False
+            entry.complete(resp)
+            return False
+        yield from self._acquire()
+        if not self.pipelined:
+            self._solo += 1
+            self._occupy()
+            self.sim.process(self._solo_call(entry),
+                             name=f"solo-call-ch{self.index}")
+            return True
+        self._next_seq += 1
+        seq = self._next_seq
+        self.inflight[seq] = entry
+        self._occupy()
         try:
             yield from self.chan.post(entry.wire(seq))
         except BaseException as exc:
-            self.inflight.pop(seq, None)
+            # A concurrent death (the receiver's) may have swept it already.
+            swept = self.inflight.pop(seq, None) is None
             self._release()
             if isinstance(exc, self._errors):
-                # The post hit a dead channel: sweep the *other* in-flight
-                # entries; this one goes back to the caller (as the cause
-                # of PipelineDead) so the engine retries or fails it.
-                self._die(exc)
-                raise PipelineDead(str(exc)) from exc
+                # The post hit a dead channel: sweep this entry (wire state
+                # unknown) together with every other one in flight.
+                self._die(exc, extra=() if swept else (entry,))
+                return False
             raise
         self.posted += 1
         self._ensure_receiver()
+        return True
 
-    def _solo_call(self, entry):
+    def _call_alone(self, entry, credits: int):
+        """Coroutine: the classic ``chan.call`` for one entry counted in
+        ``_solo`` and holding ``credits`` window credits; always gives the
+        count and the credits back."""
+        self.holder = (entry, self.sim.active_process)
         try:
             resp = yield from self.chan.call(entry.wire(None),
                                              resp_hint=entry.resp_hint,
                                              oneway=entry.oneway,
                                              trace=entry.act)
-        except BaseException as exc:
+        finally:
             self._solo -= 1
-            self._release()
-            if isinstance(exc, self._errors):
-                self._die(exc, extra=(entry,))
-            else:
-                entry.fail(exc)
-            return
-        self._solo -= 1
+            self.holder = (None, None)
+            self._release(credits)
         self.completed += 1
-        self._release()
+        return resp
+
+    def _solo_call(self, entry):
+        try:
+            resp = yield from self._call_alone(entry, 1)
+        except Interrupt:
+            return                   # deadline: the engine settled the entry
+        except self._errors as exc:
+            self._die(exc, extra=(entry,))
+            return
+        except BaseException as exc:
+            entry.fail(exc)
+            return
         entry.complete(resp)
 
     # -- completion ----------------------------------------------------------
@@ -384,12 +428,7 @@ class ChannelPipeline:
     def _receive_loop(self):
         try:
             while self.inflight:
-                resp = yield from self.chan.recv()
-                seq, payload = split_pip(resp)
-                if seq is None:
-                    # Unframed response (shouldn't happen on a pipelined
-                    # channel): pair it FIFO.
-                    seq = min(self.inflight)
+                seq, payload = split_pip((yield from self.chan.recv()))
                 entry = self.inflight.pop(seq, None)
                 if entry is None:
                     continue      # response to an unknown/abandoned seq
@@ -406,19 +445,9 @@ class ChannelPipeline:
 
     # -- failure -------------------------------------------------------------
     def _die(self, exc: BaseException, extra: tuple = ()) -> None:
-        """Mark the pipeline dead and sweep every in-flight entry."""
-        if self.dead:
-            entries: List[Any] = list(extra)
-        else:
-            self.dead = True
-            entries = list(extra) + [self.inflight[k]
-                                     for k in sorted(self.inflight)]
-            self.inflight.clear()
-        self._credits = self.window
-        while self._waiters:
-            self._waiters.popleft().succeed()   # they observe dead -> re-pick
-        if self._occupancy is not None:
-            self._occupancy.set(0)
+        """Mark the pipeline dead and sweep every in-flight entry, after
+        ``extra`` (entries whose own call or post just failed)."""
+        entries = list(extra) + self.drain()
         if not entries:
             return
         if self.on_dead is not None:
@@ -428,13 +457,14 @@ class ChannelPipeline:
                 entry.fail(exc)
 
     def drain(self) -> List[Any]:
-        """Remove and return every in-flight entry (engine close path)."""
+        """Mark the pipeline dead; remove and return every in-flight entry
+        (the engine's close path)."""
         self.dead = True
         entries = [self.inflight[k] for k in sorted(self.inflight)]
         self.inflight.clear()
         self._credits = self.window
         while self._waiters:
-            self._waiters.popleft().succeed()
+            self._waiters.popleft().succeed()   # they observe dead -> re-pick
         if self._occupancy is not None:
             self._occupancy.set(0)
         return entries

@@ -493,40 +493,16 @@ class AsyncCaller:
         round trips overlap under the channel window.  The first per-call
         failure is raised after the batch settles.
         """
-        eng = self.engine
-        sim = eng.node.sim
-        batch = None
-        if eng._trc is not None:
-            batch = eng._trc.start_call(
-                "call_many", eng.node.name, lambda: sim.now,
-                attrs={"n": len(calls), "service": self.client.service_name})
-        try:
-            t0 = sim.now
+        def post():
             handles = []
             for call in calls:
                 method, args = call[0], call[1:]
                 handles.append((yield from self.call_async(method, *args)))
-            if batch is not None:
-                batch.stage("post", t0, sim.now, n=len(handles))
-            t1 = sim.now
-            results = []
-            first_exc: Optional[Exception] = None
-            for h in handles:
-                try:
-                    results.append((yield from h.wait(timeout)))
-                except Exception as exc:
-                    if first_exc is None:
-                        first_exc = exc
-                    results.append(None)
-            if batch is not None:
-                batch.stage("gather", t1, sim.now)
-        except BaseException as exc:
-            if batch is not None:
-                batch.finish(sim.now, status=type(exc).__name__)
-            raise
-        if batch is not None:
-            batch.finish(sim.now, status="ok" if first_exc is None
-                         else type(first_exc).__name__)
+            return handles
+
+        results, first_exc = yield from self.engine._gather(
+            post(), {"n": len(calls), "service": self.client.service_name},
+            timeout)
         if first_exc is not None:
             raise first_exc
         return results

@@ -65,17 +65,26 @@ class TRdma(TTransport):
     def write(self, data: bytes) -> None:
         self._wbuf += data
 
-    def flush(self):
+    def _take_message(self):
+        """(fn, message, oneway, seqid) of the buffered call message."""
         if self._current_fn is None:
             raise RuntimeError(
                 "TRdma.flush without a method context; wrap the protocol "
                 "in HintedProtocol")
         message = bytes(self._wbuf)
         self._wbuf.clear()
-        resp = yield from self.engine.call(self._current_fn, message,
-                                           oneway=self._current_oneway,
-                                           seqid=self._current_seqid,
+        return (self._current_fn, message, self._current_oneway,
+                self._current_seqid)
+
+    def flush(self):
+        fn, message, oneway, seqid = self._take_message()
+        resp = yield from self.engine.call(fn, message, oneway=oneway,
+                                           seqid=seqid,
                                            ser_start=self._ser_start)
+        self.deliver(resp)
+
+    def deliver(self, resp: bytes) -> None:
+        """Load a response for the stub's receive half to read."""
         self._rbuf = resp or b""
         self._rpos = 0
 
@@ -117,23 +126,12 @@ class _AsyncTRdma(TRdma):
         self.captured = None    # (fn, message, oneway, seqid)
 
     def flush(self):
-        if self._current_fn is None:
-            raise RuntimeError(
-                "TRdma.flush without a method context; wrap the protocol "
-                "in HintedProtocol")
-        self.captured = (self._current_fn, bytes(self._wbuf),
-                         self._current_oneway, self._current_seqid)
-        self._wbuf.clear()
+        self.captured = self._take_message()
         return
         yield  # pragma: no cover
 
     def ready(self):
         yield _PAUSE
-
-    def deliver(self, resp: bytes) -> None:
-        """Load the response for the stub's receive half to read."""
-        self._rbuf = resp or b""
-        self._rpos = 0
 
 
 class HintedProtocol:

@@ -565,6 +565,19 @@ class ShardedKVCluster:
         return dropped
 
 
+def _wait_all(handles):
+    """Coroutine: wait for every handle, then raise the first failure."""
+    first: Optional[Exception] = None
+    for h in handles:
+        try:
+            yield from h.wait()
+        except Exception as exc:
+            if first is None:
+                first = exc
+    if first is not None:
+        raise first
+
+
 class ShardRouter:
     """Client-side shard fan-out with the stub's coroutine API.
 
@@ -797,31 +810,67 @@ class ShardRouter:
         if self._m_ops is not None:
             self._m_ops[shard].inc()
 
-    def _serve_hit(self, key, entry):
-        """Coroutine: one cache-served Get (hit cost + trace stage)."""
+    def _serve_hit(self, key, entry, fn: str = "Get"):
+        """Coroutine: one cache-served key (hit cost + trace stage)."""
         yield self.node.compute(HIT_COST)
-        trace_cache_hit(self._engines[self.cluster.primary(key)], "Get",
-                        entry)
-        return cache_hit_result(self._result_cls, entry)
+        trace_cache_hit(self._engines[self.cluster.primary(key)], fn, entry)
+
+    def _hot_channel(self, shard: int, key):
+        """The hot-read channel a promoted miss on ``shard`` rides, when
+        that shard's RPC window is saturated; None otherwise."""
+        if self.cache is not None and self.cache.promoted(key) \
+                and self._hot[shard] is not None \
+                and self._engines[shard].channel_saturated("Get"):
+            self.cache.count_hot_read()
+            return self._hot[shard]
+        return None
+
+    def _read_replicas(self, shards, method: str, *args, found=None):
+        """Coroutine: the one replica-read walk.  Issues
+        ``stub.<method>(*args)`` on each of ``shards`` in order (counted
+        per shard) until one answers -- and, with ``found``, answers a
+        reply ``found(reply)`` accepts -- and returns ``(shard, reply)``.
+        A transport error moves on to the next shard; ``(None,
+        last_error)`` when none answered."""
+        last: Optional[Exception] = None
+        for r in shards:
+            if r >= len(self._stubs):
+                continue
+            self._count(r)
+            try:
+                reply = yield from getattr(self._stubs[r], method)(*args)
+            except TTransportException as exc:
+                last = exc
+                continue
+            if found is None or found(reply):
+                return r, reply
+        return None, last
+
+    def _failover_read(self, shard: int, replicas, method: str, *args):
+        """Coroutine: re-issue a read that failed on ``shard`` along
+        ``replicas``; returns ``(answering_shard, reply)`` or raises the
+        last transport error (typed NOT_OPEN when there was no replica)."""
+        r, reply = yield from self._read_replicas(replicas, method, *args)
+        if r is None:
+            raise reply if reply is not None else TTransportException(
+                TTransportException.NOT_OPEN,
+                f"shard {shard} unreachable and no replicas configured")
+        if self._m_read_failovers is not None:
+            self._m_read_failovers.inc()
+        return r, reply
 
     def _forward_read(self, key, shards):
         """Coroutine: the dual-read forwarding fallback -- retry a
         post-cutover miss on the range's previous holders.  A hit here is
         returned but never cached (the old copy stops being authoritative
         when the window closes)."""
-        for r in shards:
-            if r >= len(self._stubs):
-                continue
-            self._count(r)
-            try:
-                result = yield from self._stubs[r].Get(key)
-            except TTransportException:
-                continue
-            if result.found:
-                if self._m_forward is not None:
-                    self._m_forward.inc()
-                return result
-        return None
+        r, result = yield from self._read_replicas(
+            shards, "Get", key, found=lambda res: res.found)
+        if r is None:
+            return None
+        if self._m_forward is not None:
+            self._m_forward.inc()
+        return result
 
     # -- the stub API --------------------------------------------------------
     def Get(self, key):
@@ -835,42 +884,48 @@ class ShardRouter:
         if cache is not None:
             entry = cache.lookup(key)
             if entry is not None:
-                return (yield from self._serve_hit(key, entry))
-        last: Optional[Exception] = None
+                yield from self._serve_hit(key, entry)
+                return cache_hit_result(self._result_cls, entry)
         gen0 = (self._takeover_gen, self.cluster.routing_epoch)
-        for hop, shard in enumerate(self.cluster.preference(key)):
-            self._count(shard)
-            issued = self.node.sim.now
-            try:
-                if hop == 0 and cache is not None and cache.promoted(key) \
-                        and self._hot[shard] is not None \
-                        and self._engines[shard].channel_saturated("Get"):
-                    cache.count_hot_read()
-                    h = yield from self._callers[shard].call_async(
-                        "Get", key, channel=self._hot[shard])
-                    result = yield from h.wait()
-                else:
-                    result = yield from self._stubs[shard].Get(key)
-            except TTransportException as exc:
-                last = exc
-                continue
-            if hop == 0 and not result.found \
-                    and self.cluster.migration is not None:
-                fb = self.cluster.read_fallback(key)
-                if fb and shard not in fb:
-                    fwd = yield from self._forward_read(key, fb)
-                    if fwd is not None:
-                        return fwd
-            if hop or (self._takeover_gen,
-                       self.cluster.routing_epoch) != gen0:
-                if self._m_read_failovers is not None and hop:
-                    self._m_read_failovers.inc()
-                if cache is not None:
-                    cache.invalidate(key)
-            elif cache is not None:
-                cache.admit(key, result, issued=issued)
+        pref = self.cluster.preference(key)
+        shard = pref[0]
+        self._count(shard)
+        issued = self.node.sim.now
+        try:
+            chan = self._hot_channel(shard, key)
+            if chan is not None:
+                h = yield from self._callers[shard].call_async(
+                    "Get", key, channel=chan)
+                result = yield from h.wait()
+            else:
+                result = yield from self._stubs[shard].Get(key)
+        except TTransportException:
+            if len(pref) < 2:
+                raise
+            _, result = yield from self._failover_read(shard, pref[1:],
+                                                       "Get", key)
+            if cache is not None:
+                cache.invalidate(key)
             return result
-        raise last
+        return (yield from self._primary_read(key, shard, result, issued,
+                                              gen0))
+
+    def _primary_read(self, key, shard: int, result, issued: float, gen0):
+        """Coroutine: finish a Get the key's primary answered -- retry a
+        post-cutover miss on the range's previous holders, else feed the
+        cache unless a takeover or cutover moved since ``gen0``."""
+        if not result.found and self.cluster.migration is not None:
+            fb = self.cluster.read_fallback(key)
+            if fb and shard not in fb:
+                fwd = yield from self._forward_read(key, fb)
+                if fwd is not None:
+                    return fwd
+        if self.cache is not None:
+            if (self._takeover_gen, self.cluster.routing_epoch) != gen0:
+                self.cache.invalidate(key)
+            else:
+                self.cache.admit(key, result, issued=issued)
+        return result
 
     def Put(self, key, value):
         """Coroutine: store ``key`` on every replica of its shard.
@@ -882,56 +937,27 @@ class ShardRouter:
         blind-retries writes and never lets a replica get ahead of its
         primary.  Under a migration the write first passes the cutover
         fence and is counted in-flight against its range."""
-        token, pref = yield from self._write_intent(key)
-        try:
-            for shard in pref:
-                self._count(shard)
-            yield from self._stubs[pref[0]].Put(key, value)
-            if len(pref) > 1:
-                handles = []
-                for shard in pref[1:]:
-                    handles.append(
-                        (yield from self._callers[shard].call_async(
-                            "Put", key, value)))
-                first: Optional[Exception] = None
-                for h in handles:
-                    try:
-                        yield from h.wait()
-                    except Exception as exc:
-                        if first is None:
-                            first = exc
-                if first is not None:
-                    raise first
-        finally:
-            if token is not None:
-                token.settle_write(key)
-            if self.cache is not None:
-                self.cache.invalidate(key)
+        yield from self._replicated_write("Put", key, value)
 
     def Delete(self, key):
         """Coroutine: remove ``key`` from every replica of its shard,
         primary-first (same write discipline -- and migration write gate
         -- as :meth:`Put`)."""
+        yield from self._replicated_write("Delete", key)
+
+    def _replicated_write(self, method: str, key, *args):
+        """Coroutine: ``method(key, *args)`` on the key's primary, then
+        fanned to its replicas (see :meth:`Put`)."""
         token, pref = yield from self._write_intent(key)
         try:
             for shard in pref:
                 self._count(shard)
-            yield from self._stubs[pref[0]].Delete(key)
-            if len(pref) > 1:
-                handles = []
-                for shard in pref[1:]:
-                    handles.append(
-                        (yield from self._callers[shard].call_async(
-                            "Delete", key)))
-                first: Optional[Exception] = None
-                for h in handles:
-                    try:
-                        yield from h.wait()
-                    except Exception as exc:
-                        if first is None:
-                            first = exc
-                if first is not None:
-                    raise first
+            yield from getattr(self._stubs[pref[0]], method)(key, *args)
+            handles = []
+            for shard in pref[1:]:
+                handles.append((yield from self._callers[shard].call_async(
+                    method, key, *args)))
+            yield from _wait_all(handles)
         finally:
             if token is not None:
                 token.settle_write(key)
@@ -950,10 +976,7 @@ class ShardRouter:
             if cache is not None:
                 entry = cache.lookup(key)
                 if entry is not None:
-                    yield self.node.compute(HIT_COST)
-                    trace_cache_hit(
-                        self._engines[self.cluster.primary(key)],
-                        "MultiGet", entry)
+                    yield from self._serve_hit(key, entry, "MultiGet")
                     out[pos] = entry.value if entry.found else b""
                     continue
             shard = self.cluster.primary(key)
@@ -991,20 +1014,10 @@ class ShardRouter:
                 r = yield from self._get_from_replicas(shard, key)
                 values.append(r.value if r.found else b"")
             return values
-        last: Optional[Exception] = None
-        for r in self.cluster.replica_shards(shard)[1:]:
-            self._count(r)
-            try:
-                values = yield from self._stubs[r].MultiGet(subkeys)
-            except TTransportException as exc:
-                last = exc
-                continue
-            if self._m_read_failovers is not None:
-                self._m_read_failovers.inc()
-            return values
-        raise last if last is not None else TTransportException(
-            TTransportException.NOT_OPEN,
-            f"shard {shard} unreachable and no replicas configured")
+        _, values = yield from self._failover_read(
+            shard, self.cluster.replica_shards(shard)[1:], "MultiGet",
+            subkeys)
+        return values
 
     def MultiPut(self, keys, values):
         """Coroutine: store a batch, one server-side MultiPut per shard
@@ -1031,15 +1044,7 @@ class ShardRouter:
                     handles.append(
                         (yield from self._callers[shard].call_async(
                             "MultiPut", ks, vs)))
-                first: Optional[Exception] = None
-                for h in handles:
-                    try:
-                        yield from h.wait()
-                    except Exception as exc:
-                        if first is None:
-                            first = exc
-                if first is not None:
-                    raise first
+                yield from _wait_all(handles)
         finally:
             for key, token in zip(keys, tokens):
                 if token is not None:
@@ -1077,8 +1082,11 @@ class ShardRouter:
             try:
                 flat = yield from h.wait()
             except TTransportException:
-                src, flat = yield from self._scan_fallback(
-                    shard, start_key, count)
+                # Re-run the leg on the shard's replicas; the answering
+                # shard tells the merge the rows were not primary answers.
+                src, flat = yield from self._failover_read(
+                    shard, self.cluster.replica_shards(shard)[1:], "Scan",
+                    start_key, count)
             for i in range(0, len(flat), 2):
                 k, v = flat[i], flat[i + 1]
                 if migrating:
@@ -1098,25 +1106,6 @@ class ShardRouter:
                 break
         return out
 
-    def _scan_fallback(self, shard: int, start_key, count):
-        """Coroutine: re-run one shard's scan leg on its replicas; returns
-        ``(answering_shard, flat_rows)`` so the merge can tell the rows
-        were not primary answers."""
-        last: Optional[Exception] = None
-        for r in self.cluster.replica_shards(shard)[1:]:
-            self._count(r)
-            try:
-                flat = yield from self._stubs[r].Scan(start_key, count)
-            except TTransportException as exc:
-                last = exc
-                continue
-            if self._m_read_failovers is not None:
-                self._m_read_failovers.inc()
-            return r, flat
-        raise last if last is not None else TTransportException(
-            TTransportException.NOT_OPEN,
-            f"shard {shard} unreachable and no replicas configured")
-
     # -- pipelined client-side batching (mirrors repro.hatkv.client) --------
     def multi_get(self, keys):
         """Coroutine: one pipelined single-key Get per key, fanned across
@@ -1133,20 +1122,12 @@ class ShardRouter:
             if cache is not None:
                 entry = cache.lookup(key)
                 if entry is not None:
-                    yield self.node.compute(HIT_COST)
-                    trace_cache_hit(
-                        self._engines[self.cluster.primary(key)],
-                        "Get", entry)
+                    yield from self._serve_hit(key, entry)
                     out[i] = entry.value if entry.found else b""
                     continue
             shard = self.cluster.primary(key)
             self._count(shard)
-            chan = None
-            if cache is not None and cache.promoted(key) \
-                    and self._hot[shard] is not None \
-                    and self._engines[shard].channel_saturated("Get"):
-                cache.count_hot_read()
-                chan = self._hot[shard]
+            chan = self._hot_channel(shard, key)
             issued = self.node.sim.now
             pending.append(
                 (i, shard, key, issued,
@@ -1160,19 +1141,8 @@ class ShardRouter:
                 if cache is not None:
                     cache.invalidate(key)
             else:
-                if not result.found and self.cluster.migration is not None:
-                    fb = self.cluster.read_fallback(key)
-                    if fb and shard not in fb:
-                        fwd = yield from self._forward_read(key, fb)
-                        if fwd is not None:
-                            out[i] = fwd.value
-                            continue
-                if cache is not None:
-                    if (self._takeover_gen,
-                            self.cluster.routing_epoch) != gen0:
-                        cache.invalidate(key)
-                    else:
-                        cache.admit(key, result, issued=issued)
+                result = yield from self._primary_read(key, shard, result,
+                                                       issued, gen0)
             out[i] = result.value if result.found else b""
         return out
 
@@ -1180,22 +1150,10 @@ class ShardRouter:
         """Coroutine: per-key read failover along the key's *current*
         preference list (plan-aware during a migration), skipping the
         shard that already failed."""
-        last: Optional[Exception] = None
-        for r in self.cluster.preference(key):
-            if r == shard:
-                continue
-            self._count(r)
-            try:
-                result = yield from self._stubs[r].Get(key)
-            except TTransportException as exc:
-                last = exc
-                continue
-            if self._m_read_failovers is not None:
-                self._m_read_failovers.inc()
-            return result
-        raise last if last is not None else TTransportException(
-            TTransportException.NOT_OPEN,
-            f"shard {shard} unreachable and no replicas configured")
+        _, result = yield from self._failover_read(
+            shard, [r for r in self.cluster.preference(key) if r != shard],
+            "Get", key)
+        return result
 
     def multi_put(self, keys, values):
         """Coroutine: one pipelined single-key Put per key per replica,
@@ -1217,15 +1175,7 @@ class ShardRouter:
                     handles.append(
                         (yield from self._callers[shard].call_async(
                             "Put", key, value)))
-                first: Optional[Exception] = None
-                for h in handles:
-                    try:
-                        yield from h.wait()
-                    except Exception as exc:
-                        if first is None:
-                            first = exc
-                if first is not None:
-                    raise first
+                yield from _wait_all(handles)
         finally:
             for key, token in zip(keys, tokens):
                 if token is not None:

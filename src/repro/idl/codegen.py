@@ -289,10 +289,10 @@ def _emit_client(doc_env: _TypeEnv, service: ServiceNode, out: _Emitter,
             out.emit("        return None")
             out.emit()
             continue
-        out.emit(f"        yield from self._send({fn.name!r}, "
+        out.emit(f"        _sid = yield from self._send({fn.name!r}, "
                  f"{fn.name}_args({kwargs}))")
         out.emit(f"        _r = yield from self._recv({fn.name!r}, "
-                 f"{fn.name}_result())")
+                 f"{fn.name}_result(), _sid)")
         if fn.return_type.name != "void":
             out.emit("        if _r.success is not None:")
             out.emit("            return _r.success")

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import inspect
-from typing import Callable, Dict
+from typing import Callable, Dict, Optional
 
 from repro.thrift.errors import TApplicationException
 from repro.thrift.protocol.base import TProtocol
@@ -146,26 +146,32 @@ class TClient:
         self._seqid = 0
 
     def _send(self, name: str, args, mtype: int = TMessageType.CALL):
-        """Coroutine: serialize and flush one call message."""
+        """Coroutine: serialize and flush one call message; returns the
+        seqid it was sent under."""
         self._seqid += 1
-        self._oprot.write_message_begin(name, mtype, self._seqid)
+        seqid = self._seqid
+        self._oprot.write_message_begin(name, mtype, seqid)
         args.write(self._oprot)
         self._oprot.write_message_end()
         yield from self._oprot.trans.flush()
+        return seqid
 
-    def _recv(self, name: str, result):
-        """Coroutine: await and deserialize the reply into ``result``."""
+    def _recv(self, name: str, result, seqid: Optional[int] = None):
+        """Coroutine: await and deserialize the reply into ``result``,
+        checked against ``seqid`` -- what the matching :meth:`_send`
+        returned; the shared counter may have moved on meanwhile."""
+        expected = self._seqid if seqid is None else seqid
         yield from self._iprot.trans.ready()
-        rname, mtype, seqid = self._iprot.read_message_begin()
+        rname, mtype, rseqid = self._iprot.read_message_begin()
         if mtype == TMessageType.EXCEPTION:
             exc = TApplicationException()
             exc.read(self._iprot)
             self._iprot.read_message_end()
             raise exc
-        if seqid != self._seqid:
+        if rseqid != expected:
             raise TApplicationException(
                 TApplicationException.BAD_SEQUENCE_ID,
-                f"expected seqid {self._seqid}, got {seqid}")
+                f"expected seqid {expected}, got {rseqid}")
         if rname != name and rname.split(TMultiplexedProcessor.SEPARATOR)[-1] != name:
             raise TApplicationException(
                 TApplicationException.WRONG_METHOD_NAME,
