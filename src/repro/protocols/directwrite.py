@@ -104,7 +104,8 @@ class DirectWriteEndpoint:
         off = ((seq - 1) % self.slots) * self._stride
         n = len(data)
         yield from self.device.memcpy(n, self.cfg.numa_local)
-        self._staging.write(pack_ctrl(K_NOTIFY, seq, n) + data, offset=off)
+        self._staging.write(pack_ctrl(K_NOTIFY, seq, n), offset=off)
+        self._staging.write(data, offset=off + HDR_BYTES)
         total = HDR_BYTES + n
         if self.flavor == F_IMM:
             yield from self.qp.post_send(

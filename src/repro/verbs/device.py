@@ -109,11 +109,17 @@ class Device:
         if reg is not None:
             self._m_doorbells = reg.counter("verbs.doorbells")
             self._m_wrs = reg.counter("verbs.wrs_posted")
+            # Pull probe: summed across devices, where host memory went.
+            reg.probe("verbs.memory", self._memory_probe)
         else:
             self._m_doorbells = None
             self._m_wrs = None
         node.nic = self
         node.on_crash(self.fail)
+
+    def _memory_probe(self) -> Dict[str, float]:
+        return {"registered_bytes": self.registered_bytes,
+                "resident_bytes": self.mem.resident_bytes}
 
     def fail(self) -> None:
         """Node crash: error every QP (flushing both sides) and drop listeners.

@@ -82,6 +82,35 @@ def test_engine_metrics_and_fault_probe(registry):
     assert flat[f"engine.ch{idx}.inflight.high_water"] >= 1
 
 
+def test_verbs_memory_probe_sums_devices(registry):
+    """Every device reports registered and resident bytes; the probe
+    group is their sum across the testbed."""
+    gen = load_idl(IDL, "obs_mem_probe_gen")
+    tb = Testbed(n_nodes=2)
+
+    class H:
+        def Echo(self, x):
+            return x
+
+    HatRpcServer(tb.node(0), gen, "ObsSvc", H()).start()
+
+    def run():
+        stub = yield from hatrpc_connect(tb.node(1), tb.node(0), gen,
+                                         "ObsSvc")
+        for _ in range(5):
+            yield from stub.Echo("hello")
+
+    tb.sim.run(tb.sim.process(run()))
+    group = registry.probe_values()["verbs.memory"]
+    nics = [tb.node(i).nic for i in range(2)]
+    assert group["registered_bytes"] == sum(n.registered_bytes
+                                            for n in nics)
+    assert group["resident_bytes"] == sum(n.mem.resident_bytes
+                                          for n in nics)
+    assert all(n.mem.resident_bytes > 0 for n in nics)
+    assert group["resident_bytes"] < group["registered_bytes"]
+
+
 def test_counters_safe_across_sim_processes(registry):
     """N interleaved sim coroutines all update shared instruments."""
     tb = Testbed(n_nodes=1)
