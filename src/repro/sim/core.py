@@ -8,11 +8,15 @@ back into the generator (or throwing its exception).
 Determinism: events scheduled for the same timestamp fire in schedule order
 (a monotonically increasing sequence number breaks ties), so repeated runs of
 the same program produce byte-identical traces.
+
+A scheduled event can be withdrawn with :meth:`Simulator.cancel`.  Deletion is
+lazy: the heap entry stays where it is and is skipped when popped, so
+cancelling is O(1) and never disturbs the order of the live entries.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from typing import Any, Callable, Generator, Iterable, Optional
 
 __all__ = [
@@ -67,7 +71,8 @@ class Event:
 
     @property
     def processed(self) -> bool:
-        """True once callbacks have run (the event is in the past)."""
+        """True once callbacks have run (the event is in the past), or once
+        the event was cancelled (its callbacks never will run)."""
         return self.callbacks is None
 
     @property
@@ -88,10 +93,10 @@ class Event:
     def succeed(self, value: Any = None, delay: float = 0.0) -> "Event":
         if self._triggered:
             raise SimulationError("event already triggered")
+        self.sim._schedule(self, delay)
         self._triggered = True
         self._ok = True
         self._value = value
-        self.sim._schedule(self, delay)
         return self
 
     def fail(self, exc: BaseException, delay: float = 0.0) -> "Event":
@@ -99,10 +104,10 @@ class Event:
             raise TypeError(f"fail() needs an exception, got {exc!r}")
         if self._triggered:
             raise SimulationError("event already triggered")
+        self.sim._schedule(self, delay)
         self._triggered = True
         self._ok = False
         self._exc = exc
-        self.sim._schedule(self, delay)
         return self
 
     def _run_callbacks(self) -> None:
@@ -138,13 +143,15 @@ class Timeout(Event):
     __slots__ = ()
 
     def __init__(self, sim: "Simulator", delay: float, value: Any = None):
-        if delay < 0:
-            raise ValueError(f"negative timeout delay: {delay}")
-        super().__init__(sim)
+        # Event.__init__ inlined: timeouts are the most frequent event.
+        sim._schedule(self, delay)
+        self.sim = sim
+        self.callbacks = []
+        self._value = value
+        self._exc = None
         self._triggered = True
         self._ok = True
-        self._value = value
-        sim._schedule(self, delay)
+        self.defused = False
 
 
 class Process(Event):
@@ -171,7 +178,7 @@ class Process(Event):
         # Kick off at the current time, but via the event queue so that the
         # creator finishes its own time step first.
         boot = Event(sim)
-        boot.add_callback(self._resume)
+        boot.callbacks.append(self._resume)
         boot.succeed()
 
     @property
@@ -202,19 +209,19 @@ class Process(Event):
             return
         self._waiting_on = None
         if event._exc is not None:
-            self._throw(event._exc)
+            self._step(self.gen.throw, event._exc)
         else:
-            self._step(lambda: self.gen.send(event._value))
+            self._step(self.gen.send, event._value)
 
     def _throw(self, exc: BaseException) -> None:
-        self._step(lambda: self.gen.throw(exc))
+        self._step(self.gen.throw, exc)
 
-    def _step(self, advance: Callable[[], Any]) -> None:
+    def _step(self, advance: Callable[[Any], Any], arg: Any) -> None:
         sim = self.sim
         prev = sim.active_process
         sim.active_process = self
         try:
-            target = advance()
+            target = advance(arg)
         except StopIteration as stop:
             sim.active_process = prev
             self.succeed(stop.value)
@@ -233,7 +240,11 @@ class Process(Event):
                 f"process {self.name!r} yielded an event from another simulator"))
             return
         self._waiting_on = target
-        target.add_callback(self._resume)
+        callbacks = target.callbacks
+        if callbacks is None:
+            self._resume(target)  # already processed: resume right away
+        else:
+            callbacks.append(self._resume)
 
 
 class _Condition(Event):
@@ -317,18 +328,42 @@ class Simulator:
 
     # -- scheduling ---------------------------------------------------------
     def _schedule(self, event: Event, delay: float = 0.0) -> None:
+        # ``not >=`` so that NaN, which compares false both ways, is refused:
+        # a NaN timestamp would wedge the heap order and stall run().
+        if not delay >= 0:
+            raise ValueError(f"invalid event delay: {delay}")
         self._eid += 1
-        heapq.heappush(self._heap, (self.now + delay, self._eid, event))
+        heappush(self._heap, (self.now + delay, self._eid, event))
+
+    def cancel(self, event: Event) -> None:
+        """Withdraw a scheduled event before it fires.
+
+        The heap entry is left in place and skipped when popped (lazy
+        deletion): the event runs no callbacks, does not advance ``now`` and
+        does not count in :attr:`events_executed`.  It reads as
+        :attr:`~Event.processed` from here on.
+        """
+        if not event._triggered or event.callbacks is None:
+            raise SimulationError("cancel() needs a scheduled event that has not run")
+        event.callbacks = None
 
     def step(self) -> None:
-        when, _eid, event = heapq.heappop(self._heap)
+        """Run the next live event (cancelled entries are dropped on the way)."""
+        heap = self._heap
+        while True:
+            when, _eid, event = heappop(heap)
+            if event.callbacks is not None:
+                break
         self.now = when
         self._nevents += 1
         event._run_callbacks()
 
     def peek(self) -> float:
-        """Time of the next scheduled event, or +inf if none."""
-        return self._heap[0][0] if self._heap else float("inf")
+        """Time of the next live event, or +inf if none."""
+        heap = self._heap
+        while heap and heap[0][2].callbacks is None:
+            heappop(heap)
+        return heap[0][0] if heap else float("inf")
 
     def run(self, until: Optional[float | Event] = None) -> Any:
         """Run until the heap drains, a deadline passes, or an event fires.
@@ -337,23 +372,35 @@ class Simulator:
         (run until it is processed; returns/raises its value), or None
         (run to exhaustion).
         """
+        heap = self._heap
         if isinstance(until, Event):
             target = until
-            while not target.processed:
-                if not self._heap:
+            while target.callbacks is not None:
+                if not heap:
                     raise SimulationError(
                         "event queue drained before the awaited event fired "
                         "(deadlock: a process is waiting on an event nobody "
                         "will trigger)")
-                self.step()
+                when, _eid, event = heappop(heap)
+                if event.callbacks is None:
+                    continue  # cancelled
+                self.now = when
+                self._nevents += 1
+                event._run_callbacks()
             return target.value
         deadline = float("inf") if until is None else float(until)
-        while self._heap and self._heap[0][0] <= deadline:
-            self.step()
+        while heap and heap[0][0] <= deadline:
+            when, _eid, event = heappop(heap)
+            if event.callbacks is None:
+                continue  # cancelled
+            self.now = when
+            self._nevents += 1
+            event._run_callbacks()
         if until is not None and self.now < deadline:
             self.now = deadline
         return None
 
     @property
     def events_executed(self) -> int:
+        """Events whose callbacks ran; cancelled events are not counted."""
         return self._nevents

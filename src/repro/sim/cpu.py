@@ -16,18 +16,21 @@ Two kinds of runnable load are tracked:
   the thread is runnable (consuming a core's worth of schedulable time, thus
   slowing everyone else) but never "finishes".
 
-The implementation keeps one pending wake-up for the earliest-finishing job
-and re-evaluates on every state change, so cost is O(jobs) bookkeeping per
-change with O(1) outstanding events.
+Each scheduler holds at most one pending wake-up: a timeout for the moment
+its earliest-finishing job completes.  Every state change (a job arrives, a
+spinner starts or stops, the wake-up fires) cancels that timeout with
+:meth:`Simulator.cancel` and schedules a fresh one, so cost is O(jobs)
+bookkeeping per change with one outstanding event per node.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from repro.sim.core import Event, SimulationError, Simulator
+from repro.sim.core import Event, SimulationError, Simulator, Timeout
 
 __all__ = ["CpuScheduler", "SpinToken"]
 
@@ -63,7 +66,7 @@ class CpuScheduler:
         self._spinners: set[int] = set()
         self._ids = itertools.count(1)
         self._last_update = 0.0
-        self._version = 0
+        self._wake: Optional[Timeout] = None  # the one pending wake-up
         self._busy_time = 0.0  # integrated core-seconds of useful work
 
     # -- public API ---------------------------------------------------------
@@ -91,6 +94,9 @@ class CpuScheduler:
 
     def compute(self, cpu_seconds: float) -> Event:
         """Consume ``cpu_seconds`` of CPU work; the event fires when done."""
+        if not math.isfinite(cpu_seconds):
+            # NaN never compares <= _EPS, so the job could never finish.
+            raise ValueError(f"cpu_seconds must be finite, got {cpu_seconds}")
         ev = Event(self.sim)
         if cpu_seconds <= 0:
             ev.succeed()
@@ -123,41 +129,51 @@ class CpuScheduler:
         if dt <= 0:
             self._last_update = now
             return
-        if self._jobs:
-            rate = self.job_rate
+        jobs = self._jobs
+        if jobs:
+            r = len(jobs) + len(self._spinners)  # job_rate, inlined
+            rate = 1.0 if r <= self.cores else self.cores / r
             done = rate * dt
-            self._busy_time += done * len(self._jobs)
-            for job in self._jobs.values():
+            self._busy_time += done * len(jobs)
+            for job in jobs.values():
                 job.remaining -= done
         self._last_update = now
 
     def _reschedule(self) -> None:
-        self._version += 1
+        sim = self.sim
+        if self._wake is not None:
+            sim.cancel(self._wake)
+            self._wake = None
+        jobs = self._jobs
         while True:
-            # Complete any jobs that just hit zero.
-            finished = [jid for jid, j in self._jobs.items()
-                        if j.remaining <= _EPS]
+            # One pass: the jobs that just hit zero, and the least remaining
+            # work among the others.
+            finished = []
+            min_rem = math.inf
+            for jid, job in jobs.items():
+                rem = job.remaining
+                if rem <= _EPS:
+                    finished.append(jid)
+                elif rem < min_rem:
+                    min_rem = rem
             for jid in finished:
-                self._jobs.pop(jid).event.succeed()
-            if not self._jobs:
+                jobs.pop(jid).event.succeed()
+            if not jobs:
                 return
-            rate = self.job_rate
-            min_rem = min(j.remaining for j in self._jobs.values())
-            delay = min_rem / rate
-            if self.sim.now + delay > self.sim.now:
+            delay = min_rem / self.job_rate
+            now = sim.now
+            if now + delay > now:
                 break
             # Leftover work below the clock's float resolution can never be
             # drained by advancing time (now + delay == now would loop
             # forever); round it to done.
-            for j in self._jobs.values():
-                if j.remaining <= min_rem + _EPS:
-                    j.remaining = 0.0
-        version = self._version
-        wake = self.sim.timeout(delay)
-        wake.add_callback(lambda _ev: self._tick(version))
+            for job in jobs.values():
+                if job.remaining <= min_rem + _EPS:
+                    job.remaining = 0.0
+        wake = self._wake = Timeout(sim, delay)
+        wake.callbacks.append(self._tick)
 
-    def _tick(self, version: int) -> None:
-        if version != self._version:
-            return  # state changed since this wake-up was scheduled
+    def _tick(self, _wake: Event) -> None:
+        self._wake = None
         self._advance()
         self._reschedule()

@@ -247,3 +247,124 @@ def test_determinism_same_program_same_trace():
         return trace
 
     assert build() == build()
+
+
+def test_succeed_with_negative_delay_rejected():
+    """A negative delay would move the clock backwards (resume at t=2 after
+    a timeout at t=5); it is refused and the event stays untriggered."""
+    sim = Simulator()
+    ev = sim.event()
+    resumed = []
+
+    def waiter():
+        yield ev
+        resumed.append(sim.now)
+
+    def trigger():
+        yield sim.timeout(5)
+        with pytest.raises(ValueError):
+            ev.succeed(delay=-3)
+        assert not ev.triggered
+        ev.succeed(delay=1)
+
+    sim.process(waiter())
+    sim.process(trigger())
+    sim.run()
+    assert resumed == [6]
+
+
+@pytest.mark.parametrize("delay", [float("nan"), -1e-9])
+def test_fail_with_invalid_delay_rejected(delay):
+    sim = Simulator()
+    ev = sim.event()
+    with pytest.raises(ValueError):
+        ev.fail(RuntimeError("x"), delay=delay)
+    assert not ev.triggered
+
+
+def test_nan_timeout_rejected():
+    """NaN passes a ``delay < 0`` check; scheduled, it stalls run() so that
+    neither it nor anything after it fires."""
+    sim = Simulator()
+    with pytest.raises(ValueError):
+        sim.timeout(float("nan"))
+    with pytest.raises(ValueError):
+        sim.event().succeed(delay=float("nan"))
+    fired = []
+    sim.timeout(1.0).add_callback(lambda _ev: fired.append(sim.now))
+    sim.run()
+    assert fired == [1.0]
+
+
+def test_cancelled_event_runs_no_callbacks():
+    sim = Simulator()
+    fired = []
+    doomed = sim.timeout(1.0)
+    doomed.add_callback(lambda _ev: fired.append("cancelled"))
+    sim.timeout(2.0).add_callback(lambda _ev: fired.append(sim.now))
+    sim.cancel(doomed)
+    assert doomed.processed
+    sim.run()
+    assert fired == [2.0]
+    assert sim.events_executed == 1  # the cancelled entry is not counted
+
+
+def test_cancelled_entries_do_not_advance_the_clock():
+    sim = Simulator()
+    sim.timeout(1.0)
+    sim.cancel(sim.timeout(7.0))
+    sim.run()
+    assert sim.now == 1.0
+    sim.cancel(sim.timeout(1.0))
+    sim.timeout(2.0)
+    sim.step()
+    assert sim.now == 3.0
+
+
+def test_peek_skips_cancelled_entries():
+    sim = Simulator()
+    first = sim.timeout(1.0)
+    sim.timeout(3.0)
+    sim.cancel(first)
+    assert sim.peek() == 3.0
+    sim.run()
+    sim.cancel(sim.timeout(5.0))
+    assert sim.peek() == float("inf")
+
+
+def test_cancel_needs_a_scheduled_event_that_has_not_run():
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.cancel(sim.event())  # pending: not scheduled yet
+    ran = sim.timeout(1.0)
+    sim.run()
+    with pytest.raises(SimulationError):
+        sim.cancel(ran)
+    twice = sim.timeout(1.0)
+    sim.cancel(twice)
+    with pytest.raises(SimulationError):
+        sim.cancel(twice)
+
+
+def test_run_until_event_deadlock_detected_past_cancelled_entries():
+    sim = Simulator()
+
+    def proc():
+        yield sim.event()  # nobody ever triggers this
+
+    p = sim.process(proc())
+    sim.cancel(sim.timeout(5.0))
+    with pytest.raises(SimulationError, match="deadlock"):
+        sim.run(p)
+    assert sim.now == 0.0
+
+
+def test_yield_event_from_other_simulator_fails_process():
+    sim, other = Simulator(), Simulator()
+
+    def proc():
+        yield other.timeout(1)
+
+    p = sim.process(proc())
+    with pytest.raises(SimulationError, match="another simulator"):
+        sim.run(p)

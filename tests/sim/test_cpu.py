@@ -1,5 +1,8 @@
 """Unit tests for the GPS CPU scheduler."""
 
+import contextlib
+import signal
+
 import pytest
 
 from repro.sim import CpuScheduler, SimulationError, Simulator
@@ -147,3 +150,68 @@ def test_many_staggered_jobs_conserve_work():
         sim.process(job(i * 0.05, w))
     sim.run()
     assert cpu.busy_core_seconds == pytest.approx(total)
+
+
+@contextlib.contextmanager
+def time_limit(seconds):
+    """Fail with TimeoutError instead of hanging the suite."""
+    def expire(_signum, _frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+@pytest.mark.skipif(not hasattr(signal, "setitimer"), reason="needs SIGALRM")
+@pytest.mark.parametrize("work", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_work_rejected(work):
+    # A NaN job never compares <= 0 remaining, so _reschedule used to spin
+    # forever once it was the only job left.
+    sim = Simulator()
+    cpu = CpuScheduler(sim, 1)
+    with time_limit(5.0):
+        done = cpu.compute(1e-6)
+        with pytest.raises(ValueError):
+            cpu.compute(work)
+        sim.run()
+    assert done.processed and sim.now == 1e-6
+    assert cpu.runnable == 0
+
+
+def _live_wakes(sim, cpu):
+    """Uncancelled heap entries whose callbacks belong to ``cpu``."""
+    return [ev for _when, _eid, ev in sim._heap
+            if ev.callbacks and any(getattr(cb, "__self__", None) is cpu
+                                    for cb in ev.callbacks)]
+
+
+def test_at_most_one_live_wake_per_scheduler():
+    """A storm of staggered arrivals keeps one pending wake per node; the
+    superseded ones are cancelled, not run."""
+    sim = Simulator()
+    cpu = CpuScheduler(sim, 2)
+    other = CpuScheduler(sim, 1)
+    live = []
+
+    def job(i):
+        yield sim.timeout(i * 1e-6)
+        ev = cpu.compute(5e-6 + (i % 7) * 1e-6)
+        other.compute(2e-6)
+        live.append((len(_live_wakes(sim, cpu)), len(_live_wakes(sim, other))))
+        yield ev
+
+    n = 200
+    for i in range(n):
+        sim.process(job(i))
+    sim.run()
+    assert len(live) == n
+    assert max(live) == (1, 1)
+    assert cpu.runnable == other.runnable == 0
+    # Per job: boot, timeout, two completions, process end (1,000), plus 400
+    # live wakes.  With stale wake-ups left to run as no-ops it was 1,798.
+    assert sim.events_executed == 1400
